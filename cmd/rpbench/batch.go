@@ -38,9 +38,6 @@ type batchConfig struct {
 	// cache, map-based interpreter accounting — as the before side of
 	// the hot-path comparison.
 	Legacy bool
-	// Bytecode runs training and measurement interpretation on the
-	// compiled bytecode path (mutually exclusive with Legacy).
-	Bytecode bool
 	// Timings prints the aggregated per-stage wall time table.
 	Timings bool
 	// JSONPath, when non-empty, receives a machine-readable record of
@@ -76,7 +73,6 @@ type batchRecord struct {
 	Workers        int              `json:"workers"`
 	Check          string           `json:"check"`
 	Legacy         bool             `json:"legacy"`
-	Bytecode       bool             `json:"bytecode"`
 	ElapsedMS      float64          `json:"elapsed_ms"`
 	CPUMS          float64          `json:"cpu_ms"` // summed per-entry wall
 	EntriesPerSec  float64          `json:"entries_per_sec"`
@@ -117,7 +113,6 @@ func runBatch(cfg batchConfig) error {
 		NoAnalysisCache: cfg.Legacy,
 	}
 	popts.Interp.Legacy = cfg.Legacy
-	popts.Interp.Bytecode = cfg.Bytecode
 
 	jobs := cfg.Jobs
 	if jobs < 1 {
@@ -206,11 +201,8 @@ func runBatch(cfg batchConfig) error {
 	}
 
 	mode := "default"
-	switch {
-	case cfg.Legacy:
+	if cfg.Legacy {
 		mode = "legacy"
-	case cfg.Bytecode:
-		mode = "bytecode"
 	}
 	fmt.Printf("batch: %d entries (%d generated, seed %d, size %s, mix mc=%d ll=%d), -j %d, -workers %d, check %s, mode %s\n",
 		len(corpus), cfg.Generated, cfg.Seed, sizeName(cfg.Size), mix["mc"], mix["ll"],

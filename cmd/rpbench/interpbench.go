@@ -103,14 +103,14 @@ func runInterpBench(iters int, jsonPath string) error {
 	if err != nil {
 		return err
 	}
-	fast, err := measurePath(iters, interp.Options{})
+	fast, err := measurePath(iters, interp.Options{Walker: true})
 	if err != nil {
 		return err
 	}
 	// The bytecode path shares one external code cache across runs, the
 	// deployment shape: compilation is paid once, every run after that
 	// is pure dispatch.
-	bc, err := measurePath(iters, interp.Options{Bytecode: true, Code: analysis.New()})
+	bc, err := measurePath(iters, interp.Options{Code: analysis.New()})
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,6 @@ func main() {
 		size       = flag.String("size", "medium", "batch mode: generated workload size: small, medium, or large")
 		jobs       = flag.Int("j", 1, "batch mode: shard corpus entries across N goroutines")
 		legacy     = flag.Bool("legacy", false, "batch mode: run the pre-optimization paths (no analysis cache, map-based interpreter) as the benchmark baseline")
-		bytecode   = flag.Bool("bytecode", false, "batch mode: run training and measurement interpretation on the compiled bytecode path")
 		irEvery    = flag.Int("ir-every", 0, "batch mode: replace every Nth generated entry with an imported real-IR program (0 = off)")
 		oracleN    = flag.Int("oracle", 0, "run the semantics oracle over N seeded generated programs (uses -seed and -size), write -json, and exit")
 		oracleRT   = flag.Bool("oracle-roundtrip", false, "oracle mode: also check print→reimport round-trip equivalence")
@@ -142,7 +141,6 @@ func main() {
 			Workers:   *workers,
 			Check:     checkLevel,
 			Legacy:    *legacy,
-			Bytecode:  *bytecode,
 			Timings:   *timings,
 			JSONPath:  *jsonOut,
 		}); err != nil {

@@ -81,3 +81,27 @@ func BenchmarkBuildIntervals(b *testing.B) {
 		cfg.BuildIntervals(f)
 	}
 }
+
+// BenchmarkForestCloneFor and BenchmarkAnnotatedIntervals are the two
+// ways to get a Preheader-annotated forest for a cloned function:
+// remapping the original's forest by block ID, or rebuilding it.
+func BenchmarkForestCloneFor(b *testing.B) {
+	f := benchFunc(b)
+	forest := cfg.AnnotatedIntervals(f)
+	c := f.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forest.CloneFor(c)
+	}
+}
+
+func BenchmarkAnnotatedIntervals(b *testing.B) {
+	f := benchFunc(b)
+	c := f.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.AnnotatedIntervals(c)
+	}
+}

@@ -87,6 +87,62 @@ func (fo *Forest) InnermostInterval(b *ir.Block) *Interval {
 	return fo.innermost[b.ID]
 }
 
+// CloneFor returns a copy of the forest over f, a clone of the function
+// the forest was built for (ir.Function.Clone and ir.Program.Clone keep
+// block IDs). Every interval is a fresh object and every block it names
+// is resolved by ID among f's blocks, Preheader annotations included,
+// so the copy equals what Normalize would have returned for f without
+// recomputing the decomposition or the dominator tree.
+func (fo *Forest) CloneFor(f *ir.Function) *Forest {
+	byID := make([]*ir.Block, f.BlockIDBound())
+	for _, b := range f.Blocks {
+		byID[b.ID] = b
+	}
+	block := func(b *ir.Block) *ir.Block {
+		if b == nil {
+			return nil
+		}
+		return byID[b.ID]
+	}
+	blocks := func(bs []*ir.Block) []*ir.Block {
+		out := make([]*ir.Block, len(bs))
+		for i, b := range bs {
+			out[i] = byID[b.ID]
+		}
+		return out
+	}
+	copies := make(map[*Interval]*Interval)
+	var clone func(iv, parent *Interval) *Interval
+	clone = func(iv, parent *Interval) *Interval {
+		n := &Interval{
+			Header:    block(iv.Header),
+			Entries:   blocks(iv.Entries),
+			Blocks:    blocks(iv.Blocks),
+			Parent:    parent,
+			Depth:     iv.Depth,
+			Root:      iv.Root,
+			Preheader: block(iv.Preheader),
+			blockSet:  bitset.NewDense(iv.blockSet.Cap()),
+		}
+		n.blockSet.CopyFrom(iv.blockSet)
+		n.ExitEdges = make([]ExitEdge, len(iv.ExitEdges))
+		for i, e := range iv.ExitEdges {
+			n.ExitEdges[i] = ExitEdge{From: byID[e.From.ID], Tail: byID[e.Tail.ID]}
+		}
+		n.Children = make([]*Interval, len(iv.Children))
+		for i, c := range iv.Children {
+			n.Children[i] = clone(c, n)
+		}
+		copies[iv] = n
+		return n
+	}
+	nf := &Forest{Root: clone(fo.Root, nil), innermost: make([]*Interval, len(fo.innermost))}
+	for i, iv := range fo.innermost {
+		nf.innermost[i] = copies[iv]
+	}
+	return nf
+}
+
 // BuildIntervals computes the interval forest of f using nested
 // strongly-connected-component decomposition: every non-trivial SCC of
 // the CFG is an interval; removing its entry blocks and re-running SCC

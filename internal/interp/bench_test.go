@@ -61,12 +61,12 @@ func benchRun(b *testing.B, opts Options) {
 	}
 }
 
-func BenchmarkInterpCallHeavy(b *testing.B)       { benchRun(b, Options{}) }
+func BenchmarkInterpCallHeavyWalker(b *testing.B) { benchRun(b, Options{Walker: true}) }
 func BenchmarkInterpCallHeavyLegacy(b *testing.B) { benchRun(b, Options{Legacy: true}) }
 
-// The bytecode benchmark shares one external code cache across
-// iterations, the deployment shape: compilation is paid once, every
-// run after that is pure dispatch.
-func BenchmarkInterpCallHeavyBytecode(b *testing.B) {
-	benchRun(b, Options{Bytecode: true, Code: analysis.New()})
+// The default (bytecode) benchmark shares one external code cache
+// across iterations, the deployment shape: compilation is paid once,
+// every run after that is pure dispatch.
+func BenchmarkInterpCallHeavy(b *testing.B) {
+	benchRun(b, Options{Code: analysis.New()})
 }

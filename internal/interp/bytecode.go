@@ -1,4 +1,4 @@
-// Bytecode compilation: the third execution path. The compiler flattens
+// Bytecode compilation: the default execution path. The compiler flattens
 // a function into a linear array of register-numbered instructions with
 // the blocks' phi prefixes lowered to per-edge copy sequences, constants
 // materialized into a pool appended to the register frame (so operand

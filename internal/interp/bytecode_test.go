@@ -60,8 +60,8 @@ func requireSameResult(t *testing.T, name, aPath, bPath string, a, b *Result) {
 // identical results. Each path gets a fresh program instance.
 func threeWay(t *testing.T, name, src string) {
 	t.Helper()
-	bc := runPath(t, src, Options{CollectProfile: true, Bytecode: true})
-	fast := runPath(t, src, Options{CollectProfile: true})
+	bc := runPath(t, src, Options{CollectProfile: true})
+	fast := runPath(t, src, Options{CollectProfile: true, Walker: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, name, "bytecode", "legacy", bc, legacy)
 	requireSameResult(t, name, "bytecode", "fast", bc, fast)
@@ -171,7 +171,7 @@ void main() {
 	twist(8, 5);
 	print(acc);
 }`
-	bc := runPath(t, src, Options{CollectProfile: true, Bytecode: true})
+	bc := runPath(t, src, Options{CollectProfile: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, "recursion", "bytecode", "legacy", bc, legacy)
 	if bc.Output[0] != 1597 {
@@ -197,9 +197,7 @@ func TestBytecodeErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := compileSource(t, tc.src)
-		bopts := tc.opts
-		bopts.Bytecode = true
-		bres, berr := Run(prog, bopts)
+		bres, berr := Run(prog, tc.opts)
 		lopts := tc.opts
 		lopts.Legacy = true
 		lres, lerr := Run(compileSource(t, tc.src), lopts)
@@ -231,7 +229,7 @@ void main() {
 }`
 	prog := compileSource(t, src)
 	cache := analysis.New()
-	opts := Options{Bytecode: true, Code: cache}
+	opts := Options{Code: cache}
 
 	var first *Result
 	for run := 0; run < 3; run++ {
@@ -297,7 +295,7 @@ func TestBytecodeStaleCacheRejected(t *testing.T) {
 		t.Fatal("stale code accepted after instruction rewrite at unchanged CFG version")
 	}
 
-	res, err := Run(prog, Options{Bytecode: true})
+	res, err := Run(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestFastPathMatchesLegacy(t *testing.T) {
 	}
 
 	for i, src := range sources {
-		fast := runPath(t, src, Options{CollectProfile: true})
+		fast := runPath(t, src, Options{CollectProfile: true, Walker: true})
 		legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 
 		if !reflect.DeepEqual(fast.Output, legacy.Output) {
@@ -90,7 +90,7 @@ void main() {
 	twist(8, 5);
 	print(acc);
 }`
-	fast := runPath(t, src, Options{CollectProfile: true})
+	fast := runPath(t, src, Options{CollectProfile: true, Walker: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	if !reflect.DeepEqual(fast.Output, legacy.Output) {
 		t.Fatalf("output differs: fast %v legacy %v", fast.Output, legacy.Output)

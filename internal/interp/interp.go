@@ -15,14 +15,18 @@
 // occupy a fixed prefix, and stack slots are bump-allocated per call
 // frame. Pointers are ordinary int64 addresses into the arena.
 //
-// The execution loop keeps all per-step accounting dense: opcode counts
+// By default a run executes compiled bytecode (bytecode.go, bcexec.go):
+// each function is flattened once into linear code with fused opcode
+// pairs and dispatched over arena-allocated frames. Options.Walker
+// selects the pooled tree walker instead, which interprets the IR
+// directly while keeping all per-step accounting dense: opcode counts
 // live in a flat array indexed by ir.Op, profile collection increments
 // []int64 block and edge counters indexed by ir.BlockID (flushed into
 // profile.Profile once per run), stack slots resolve through the
 // function's precomputed FrameLayout offsets, and register frames and
 // call argument buffers are pooled across activations. Options.Legacy
-// selects the original map-based, allocation-per-call path, kept as the
-// measured baseline for the hot-path benchmarks.
+// selects the original map-based, allocation-per-call walker, kept as
+// the measured baseline for the hot-path benchmarks.
 package interp
 
 import (
@@ -67,17 +71,18 @@ type Options struct {
 	// Legacy selects the pre-optimization interpretation path: map
 	// lookups per executed block for profile collection, a map increment
 	// per instruction for opcode counts, and fresh register/slot
-	// allocations per call. Results are identical to the default fast
-	// path; the benchmark harness (rpbench -legacy) uses it as the
-	// before side of the hot-path comparison. Legacy wins over Bytecode
-	// when both are set.
+	// allocations per call. Results are identical to the default
+	// bytecode path; the benchmark harness (rpbench -legacy) uses it as
+	// the before side of the hot-path comparison. Legacy wins over
+	// Walker when both are set.
 	Legacy bool
-	// Bytecode selects the compiled execution path: each function is
-	// flattened once into linear bytecode (fused opcode pairs, pooled
-	// constants, precompiled addressing) and runs on a dense dispatch
-	// loop over arena-allocated frames. Results are identical to the
-	// other two paths.
-	Bytecode bool
+	// Walker selects the pooled tree walker instead of the default
+	// bytecode path: the IR is interpreted directly, with dense opcode
+	// and profile counters, pooled register frames, and precomputed
+	// slot offsets. Results are identical to the other two paths; the
+	// paranoid differential, the semantics oracle, and rpbench
+	// -interp-bench use it as an alternate.
+	Walker bool
 	// Code optionally supplies a cross-run cache for compiled bytecode
 	// (internal/analysis.Cache implements it). Entries are revalidated
 	// against the function's CFG version and an instruction-stream
@@ -146,7 +151,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.Timeout > 0 {
 		m.deadline = time.Now().Add(opts.Timeout)
 	}
-	bytecode := opts.Bytecode && !opts.Legacy
+	bytecode := !opts.Walker && !opts.Legacy
 	if opts.CollectProfile {
 		m.result.Profile = profile.NewProfile()
 		if !opts.Legacy {

@@ -20,18 +20,22 @@ void main() {
 }
 `
 
+// TestWallClockTimeout holds the default bytecode path and the pooled
+// walker to the deadline.
 func TestWallClockTimeout(t *testing.T) {
 	prog, err := source.Compile(longLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	_, err = interp.Run(prog, interp.Options{Timeout: time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("err = %v, want wall-clock timeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout enforcement took %v", elapsed)
+	for _, walker := range []bool{false, true} {
+		start := time.Now()
+		_, err = interp.Run(prog, interp.Options{Timeout: time.Millisecond, Walker: walker})
+		if err == nil || !strings.Contains(err.Error(), "timeout") {
+			t.Fatalf("walker=%v: err = %v, want wall-clock timeout", walker, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("walker=%v: timeout enforcement took %v", walker, elapsed)
+		}
 	}
 }
 

@@ -16,7 +16,39 @@ import (
 // copy — the pipeline snapshots each function before transforming it
 // and swaps the snapshot back in with Program.ReplaceFunction when a
 // transformation stage fails.
-func (f *Function) Clone() *Function {
+func (f *Function) Clone() *Function { return f.cloneWith(nil) }
+
+// Clone returns a deep copy of the whole program: every global and
+// every function is a fresh object, each function re-parented to the
+// copy, and every memory location (in instructions and in resource
+// tables) remapped to the copied globals, so transforming the copy
+// cannot touch the original. Names, block IDs, register numbers,
+// resource IDs and CFG version counters are preserved, so the copy
+// prints identically and keys the same profile entries. The pipeline
+// runs the frontend once and clones its output to get the program it
+// promotes.
+func (p *Program) Clone() *Program {
+	np := &Program{
+		Globals:     make([]*Global, len(p.Globals)),
+		funcsByName: make(map[string]*Function, len(p.Funcs)),
+	}
+	globals := make(map[*Global]*Global, len(p.Globals))
+	for i, g := range p.Globals {
+		ng := *g
+		ng.FieldNames = slices.Clone(g.FieldNames)
+		ng.Init = slices.Clone(g.Init)
+		np.Globals[i] = &ng
+		globals[g] = &ng
+	}
+	for _, f := range p.Funcs {
+		np.AddFunction(f.cloneWith(globals))
+	}
+	return np
+}
+
+// cloneWith deep-copies f, remapping global locations through globals
+// when it is non-nil and sharing the Global objects otherwise.
+func (f *Function) cloneWith(globals map[*Global]*Global) *Function {
 	nf := &Function{
 		Name:       f.Name,
 		Params:     slices.Clone(f.Params),
@@ -45,8 +77,11 @@ func (f *Function) Clone() *Function {
 		nf.Slots = append(nf.Slots, ns)
 	}
 	remapLoc := func(l MemLoc) MemLoc {
-		if l.Kind == LocSlot {
+		switch {
+		case l.Kind == LocSlot:
 			l.Slot = slotMap[l.Slot]
+		case l.Kind == LocGlobal && globals != nil:
+			l.Global = globals[l.Global]
 		}
 		return l
 	}

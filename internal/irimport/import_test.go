@@ -70,8 +70,8 @@ func TestImportedSemantics(t *testing.T) {
 				opts interp.Options
 			}{
 				{"legacy", interp.Options{Legacy: true, MaxSteps: 10_000_000}},
-				{"fast", interp.Options{MaxSteps: 10_000_000}},
-				{"bytecode", interp.Options{Bytecode: true, MaxSteps: 10_000_000}},
+				{"fast", interp.Options{Walker: true, MaxSteps: 10_000_000}},
+				{"bytecode", interp.Options{MaxSteps: 10_000_000}},
 			} {
 				res, err := interp.Run(out.Prog, path.opts)
 				if err != nil {

@@ -3,14 +3,14 @@
 // checks that promotion preserves meaning. Each program is compiled
 // twice — once with promotion disabled (the control) and once with the
 // paper's SSA promotion — and both versions run on all three
-// interpreter paths (legacy, fast, bytecode). The six runs must agree
-// on every observable: printed output, main's return value, and the
-// final memory image of every global. Two more properties ride along:
-// step-limit traps must be path-independent (a budget below a
-// version's instruction count must produce ErrStepLimit on every
-// path), and, optionally, printing the compiled program as textual IR
-// and re-importing it must preserve the observables (the round-trip
-// property tying internal/irimport to the native frontend).
+// interpreter paths (legacy walker, pooled "fast" walker, bytecode).
+// The six runs must agree on every observable: printed output, main's
+// return value, and the final memory image of every global. Two more
+// properties ride along: step-limit traps must be path-independent (a
+// budget below a version's instruction count must produce ErrStepLimit
+// on every path), and, optionally, printing the compiled program as
+// textual IR and re-importing it must preserve the observables (the
+// round-trip property tying internal/irimport to the native frontend).
 //
 // Failures are shrunk to minimal counterexamples with a line-based
 // ddmin pass (see shrink.go) before they are reported, so a mismatch
@@ -190,8 +190,8 @@ var pathOpts = []struct {
 	opts interp.Options
 }{
 	{"legacy", interp.Options{Legacy: true}},
-	{"fast", interp.Options{}},
-	{"bytecode", interp.Options{Bytecode: true}},
+	{"fast", interp.Options{Walker: true}},
+	{"bytecode", interp.Options{}},
 }
 
 // check runs every property on one source program. A non-nil return
@@ -231,7 +231,7 @@ func (c *checker) check(src string) (fail *failure, skip bool) {
 		return nil, true
 	}
 	if err != nil {
-		return &failure{"observable", fmt.Sprintf("control/fast run failed: %v", err)}, false
+		return &failure{"observable", fmt.Sprintf("control/bytecode run failed: %v", err)}, false
 	}
 
 	// Property 1: all six runs agree on every observable.
@@ -308,7 +308,7 @@ func (c *checker) check(src string) (fail *failure, skip bool) {
 
 // roundTrip prints the plainly-compiled program as textual IR,
 // re-imports it, and holds the re-imported program to the control
-// observables on the fast path.
+// observables on the default (bytecode) path.
 func (c *checker) roundTrip(src string, want *interp.Result) *failure {
 	prog, err := source.Compile(src)
 	if err != nil {

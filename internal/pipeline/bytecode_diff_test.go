@@ -11,26 +11,27 @@ import (
 )
 
 // requireSameRun holds two measurement results to the same observable
-// behavior.
+// behavior: want from the pooled walker, got from the default bytecode
+// path.
 func requireSameRun(t *testing.T, phase string, want, got *interp.Result) {
 	t.Helper()
 	if (want == nil) != (got == nil) {
-		t.Fatalf("%s: one run missing (default %v, bytecode %v)", phase, want != nil, got != nil)
+		t.Fatalf("%s: one run missing (walker %v, bytecode %v)", phase, want != nil, got != nil)
 	}
 	if want == nil {
 		return
 	}
 	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("%s: output differs: default %v bytecode %v", phase, want.Output, got.Output)
+		t.Errorf("%s: output differs: walker %v bytecode %v", phase, want.Output, got.Output)
 	}
 	if want.ReturnValue != got.ReturnValue {
-		t.Errorf("%s: return value differs: default %d bytecode %d", phase, want.ReturnValue, got.ReturnValue)
+		t.Errorf("%s: return value differs: walker %d bytecode %d", phase, want.ReturnValue, got.ReturnValue)
 	}
 	if want.Steps != got.Steps {
-		t.Errorf("%s: steps differ: default %d bytecode %d", phase, want.Steps, got.Steps)
+		t.Errorf("%s: steps differ: walker %d bytecode %d", phase, want.Steps, got.Steps)
 	}
 	if !reflect.DeepEqual(want.OpCounts, got.OpCounts) {
-		t.Errorf("%s: opcode counts differ:\ndefault  %v\nbytecode %v", phase, want.OpCounts, got.OpCounts)
+		t.Errorf("%s: opcode counts differ:\nwalker   %v\nbytecode %v", phase, want.OpCounts, got.OpCounts)
 	}
 	if !reflect.DeepEqual(want.Globals, got.Globals) {
 		t.Errorf("%s: final global images differ", phase)
@@ -66,26 +67,26 @@ func TestPipelineBytecodeDifferential(t *testing.T) {
 				PreMemOpts: true,
 				Check:      pipeline.CheckParanoid,
 			}
-			base, err := pipeline.Run(p.src, opts)
-			if err != nil {
-				t.Fatalf("default path: %v", err)
-			}
-			opts.Interp = interp.Options{Bytecode: true}
 			bc, err := pipeline.Run(p.src, opts)
 			if err != nil {
 				t.Fatalf("bytecode path: %v", err)
+			}
+			opts.Interp = interp.Options{Walker: true}
+			base, err := pipeline.Run(p.src, opts)
+			if err != nil {
+				t.Fatalf("walker path: %v", err)
 			}
 
 			requireSameRun(t, "before", base.Before, bc.Before)
 			requireSameRun(t, "after", base.After, bc.After)
 			if !reflect.DeepEqual(base.TotalStats, bc.TotalStats) {
-				t.Errorf("promotion stats differ:\ndefault  %+v\nbytecode %+v", base.TotalStats, bc.TotalStats)
+				t.Errorf("promotion stats differ:\nwalker   %+v\nbytecode %+v", base.TotalStats, bc.TotalStats)
 			}
 			if !reflect.DeepEqual(base.StaticAfter, bc.StaticAfter) {
-				t.Errorf("static counts differ: default %+v bytecode %+v", base.StaticAfter, bc.StaticAfter)
+				t.Errorf("static counts differ: walker %+v bytecode %+v", base.StaticAfter, bc.StaticAfter)
 			}
 			if !reflect.DeepEqual(base.DegradedFuncs(), bc.DegradedFuncs()) {
-				t.Errorf("degradations differ: default %v bytecode %v", base.DegradedFuncs(), bc.DegradedFuncs())
+				t.Errorf("degradations differ: walker %v bytecode %v", base.DegradedFuncs(), bc.DegradedFuncs())
 			}
 		})
 	}

@@ -131,8 +131,8 @@ func TestAllProgramsAllPaths(t *testing.T) {
 				name string
 				opts interp.Options
 			}{
-				{"fast", interp.Options{MaxSteps: 50_000_000}},
-				{"bytecode", interp.Options{Bytecode: true, MaxSteps: 50_000_000}},
+				{"fast", interp.Options{Walker: true, MaxSteps: 50_000_000}},
+				{"bytecode", interp.Options{MaxSteps: 50_000_000}},
 			} {
 				got, err := interp.Run(out.Prog, path.opts)
 				if err != nil {

@@ -125,6 +125,9 @@ func TestParallelFaultSweepEveryStage(t *testing.T) {
 					PreMemOpts: true,
 					Check:      pipeline.CheckParanoid,
 					Faults:     inj,
+					// measure-before runs only when training cannot
+					// supply the baseline.
+					StaticProfile: stage == pipeline.StageMeasureBefore,
 				})
 				if inj.Fired() == 0 {
 					t.Fatalf("stage %s was never reached: sites %v", stage, inj.Sites())

@@ -60,18 +60,18 @@ func TestParanoidOverCorpus(t *testing.T) {
 
 // TestParanoidAlternatePaths runs the paranoid differential with each
 // of the three interpreter paths as the primary, so the cross-check of
-// the other two (including the fast path when the primary is legacy or
-// bytecode) executes on real promoted code rather than only the
-// default fast-primary configuration.
+// the other two (including the bytecode path when the primary is one
+// of the walkers) executes on real promoted code rather than only the
+// default bytecode-primary configuration.
 func TestParanoidAlternatePaths(t *testing.T) {
 	src := workload.Suite()[0].Src
 	for _, primary := range []struct {
 		name string
 		opts interp.Options
 	}{
-		{"fast", interp.Options{}},
+		{"fast", interp.Options{Walker: true}},
 		{"legacy", interp.Options{Legacy: true}},
-		{"bytecode", interp.Options{Bytecode: true}},
+		{"bytecode", interp.Options{}},
 	} {
 		primary := primary
 		t.Run(primary.name, func(t *testing.T) {

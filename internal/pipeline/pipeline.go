@@ -5,10 +5,16 @@
 //	       ─ (training run → profile | static estimate)
 //	       ─ ssa.Build ─ core.PromoteFunction ─ opt.Cleanup ─ ssa.Destruct
 //
-// Because promotion mutates the IR in place, the pipeline compiles the
-// source twice: once to measure the baseline program and once to build
-// the promoted program, so before/after comparisons run the same input
-// on genuinely independent programs.
+// The frontend (compile, alias analysis, normalization) runs once.
+// Because promotion mutates the IR in place, the pipeline then deep-
+// clones the normalized program (ir.Program.Clone): the original stays
+// the baseline, the clone is promoted, so before/after comparisons run
+// the same input on genuinely independent programs. In the default
+// profile mode the training run of the baseline doubles as its
+// measurement: the two would interpret the same program on the same
+// input, so Outcome.Before is the training run without its profile and
+// the measure-before stage runs only when training cannot supply the
+// baseline (StaticProfile, TrainSrc).
 //
 // Every phase of the flow runs as a named, panic-isolated stage: a
 // panicking or erring stage becomes a structured *StageError instead of
@@ -126,7 +132,8 @@ type Options struct {
 	// Interp bounds the training, measurement, and differential-check
 	// runs: MaxSteps caps executed instructions and Timeout caps
 	// wall-clock time, so a runaway program fails the run instead of
-	// hanging the harness.
+	// hanging the harness. The zero value runs the bytecode path with
+	// the run's analysis cache as its code cache.
 	Interp interp.Options
 	// SkipMeasurement skips the before/after interpreter runs (the
 	// caller only wants the transformed program and static counts).
@@ -190,6 +197,8 @@ type Outcome struct {
 	// normalized program before and after promotion (Table 1's metric).
 	StaticBefore, StaticAfter StaticCounts
 	// Before/After are the measurement runs (nil when SkipMeasurement).
+	// In the default profile mode Before is the training run with its
+	// profile cleared (the profile is in Profile).
 	Before, After *interp.Result
 	// Profile is the training profile the promoter consumed.
 	Profile *profile.Profile
@@ -231,16 +240,22 @@ type runner struct {
 	// cache memoizes per-function CFG analyses across stages, keyed on
 	// the functions' CFG version counters; nil when NoAnalysisCache.
 	cache *analysis.Cache
+	// baseline is the unpromoted program's run — the training run in
+	// the default profile mode, else the measure-before run — kept even
+	// when SkipMeasurement leaves Outcome.Before nil, so the paranoid
+	// differential need not interpret the baseline again.
+	baseline *interp.Result
 }
 
 // interpOptions returns the run's interpreter options with the
-// cross-stage code cache threaded in: when the bytecode path is on and
-// the run has an analysis cache, compiled functions are shared across
-// the training, measurement, differential, and bisect runs (the cache
-// revalidates per run, so stage-boundary rewrites recompile safely).
+// cross-stage code cache threaded in: when the run has an analysis
+// cache, functions compiled to bytecode are shared across the training,
+// measurement, differential, and bisect runs (the cache revalidates per
+// run, so stage-boundary rewrites recompile safely). The walker paths
+// ignore it.
 func (r *runner) interpOptions() interp.Options {
 	popts := r.opts.Interp
-	if popts.Bytecode && popts.Code == nil && r.cache != nil {
+	if popts.Code == nil && r.cache != nil {
 		popts.Code = r.cache
 	}
 	return popts
@@ -290,6 +305,7 @@ func Run(src string, opts Options) (*Outcome, error) {
 	}
 
 	// Baseline program: compiled, analyzed, normalized — not promoted.
+	// The promoted program is cloned from it below.
 	before, beforeForests, err := r.frontend(src)
 	if err != nil {
 		return nil, err
@@ -313,28 +329,36 @@ func Run(src string, opts Options) (*Outcome, error) {
 	}
 
 	// Training profile (on the unpromoted program, or on a separate
-	// training-input variant when TrainSrc is set).
-	prof, err := r.trainProfile(before, beforeForests)
+	// training-input variant when TrainSrc is set). A training run of
+	// the unpromoted program is also its baseline run.
+	prof, trainRun, err := r.trainProfile(before, beforeForests)
 	if err != nil {
 		return nil, err
 	}
 	r.out.Profile = prof
+	if trainRun != nil {
+		base := *trainRun
+		base.Profile = nil
+		r.baseline = &base
+	}
 
-	// Measurement of the unpromoted program.
+	// Measurement of the unpromoted program, when training did not
+	// already interpret it.
 	if !opts.SkipMeasurement {
-		res, err := r.measure(StageMeasureBefore, before)
-		if err != nil {
-			return nil, err
+		if r.baseline == nil {
+			res, err := r.measure(StageMeasureBefore, before)
+			if err != nil {
+				return nil, err
+			}
+			r.baseline = res
 		}
-		r.out.Before = res
+		r.out.Before = r.baseline
 	}
 
-	// Promoted program: fresh compile, then transform, function by
-	// function, each behind its own isolation and rollback boundary.
-	after, forests, err := r.frontend(src)
-	if err != nil {
-		return nil, err
-	}
+	// Promoted program: a deep clone of the baseline, transformed
+	// function by function, each behind its own isolation and rollback
+	// boundary.
+	after, forests := r.clone(before, beforeForests)
 	if err := r.transformAll(after, forests, prof); err != nil {
 		return nil, err
 	}
@@ -417,10 +441,32 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 	return prog, forests, nil
 }
 
+// clone deep-copies the frontend's output for promotion: the program
+// (ir.Program.Clone) and each function's interval forest, remapped onto
+// the clone's blocks and seeded into the analysis cache like the
+// frontend's own. A function degraded at normalize keeps a nil forest.
+func (r *runner) clone(prog *ir.Program, forests map[string]*cfg.Forest) (*ir.Program, map[string]*cfg.Forest) {
+	c := prog.Clone()
+	cforests := make(map[string]*cfg.Forest, len(forests))
+	for _, f := range c.Funcs {
+		if forest := forests[f.Name]; forest != nil {
+			cf := forest.CloneFor(f)
+			cforests[f.Name] = cf
+			if r.cache != nil {
+				r.cache.PutIntervals(f, cf)
+			}
+		}
+	}
+	return c, cforests
+}
+
 // trainProfile acquires the promotion profile behind the train stage's
-// isolation boundary.
-func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest) (*profile.Profile, error) {
+// isolation boundary. In the default mode it also returns the training
+// run, which interpreted the unpromoted program on the measurement
+// input; the static and TrainSrc modes return a nil run.
+func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest) (*profile.Profile, *interp.Result, error) {
 	prof := profile.NewProfile()
+	var run *interp.Result
 	err := r.runStage(StageTrain, "", nil, func() error {
 		switch {
 		case r.opts.StaticProfile:
@@ -453,11 +499,11 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 			if err != nil {
 				return fmt.Errorf("training run: %w", err)
 			}
-			prof = res.Profile
+			prof, run = res.Profile, res
 		}
 		return nil
 	})
-	return prof, err
+	return prof, run, err
 }
 
 // measure interprets prog behind the named stage's isolation boundary.
@@ -660,10 +706,9 @@ func (r *runner) degrade(prog *ir.Program, f *ir.Function, snap *ir.Function, st
 }
 
 // recordDegradation appends one Degradation, deduplicating on function
-// name — the baseline and promoted compiles hit the same deterministic
-// failure twice, and a function rescued by the differential bisect must
-// not be double-counted with its transformation-time failure. finish
-// re-sorts the surviving entries into canonical order.
+// name — a function rescued by the differential bisect must not be
+// double-counted with its transformation-time failure. finish re-sorts
+// the surviving entries into canonical order.
 func (r *runner) recordDegradation(fn, stage string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -697,7 +742,7 @@ func (r *runner) recomputeTotals() {
 // that function is degraded and compilation succeeds.
 func (r *runner) differential(before, after *ir.Program) error {
 	return r.runStage(StageDifferential, "", func() string { return after.String() }, func() error {
-		resB := r.out.Before
+		resB := r.baseline
 		if resB == nil {
 			rb, err := interp.Run(before, r.interpOptions())
 			if err != nil {
@@ -720,23 +765,23 @@ func (r *runner) differential(before, after *ir.Program) error {
 		if diff == "" {
 			// The primary interpreter agrees; paranoid mode also runs the
 			// transformed program through the other two execution paths
-			// (whichever of fast, legacy tree-walker, and bytecode are
-			// not primary) and holds them to the same baseline, so a
-			// miscompile that only one path exposes still fails the
-			// check.
-			primary := "fast"
+			// (whichever of bytecode, the pooled "fast" walker, and the
+			// legacy walker are not primary) and holds them to the same
+			// baseline, so a miscompile that only one path exposes still
+			// fails the check.
+			primary := "bytecode"
 			if popts := r.interpOptions(); popts.Legacy {
 				primary = "legacy"
-			} else if popts.Bytecode {
-				primary = "bytecode"
+			} else if popts.Walker {
+				primary = "fast"
 			}
 			for _, alt := range []struct {
 				name   string
 				adjust func(*interp.Options)
 			}{
-				{"fast", func(o *interp.Options) { o.Legacy, o.Bytecode, o.Code = false, false, nil }},
-				{"legacy", func(o *interp.Options) { o.Legacy, o.Bytecode, o.Code = true, false, nil }},
-				{"bytecode", func(o *interp.Options) { o.Legacy, o.Bytecode = false, true }},
+				{"fast", func(o *interp.Options) { o.Legacy, o.Walker = false, true }},
+				{"legacy", func(o *interp.Options) { o.Legacy, o.Walker = true, false }},
+				{"bytecode", func(o *interp.Options) { o.Legacy, o.Walker = false, false }},
 			} {
 				if alt.name == primary {
 					continue
@@ -764,10 +809,10 @@ func (r *runner) differential(before, after *ir.Program) error {
 // program by bisecting for a degradable culprit function. It returns
 // nil when the rescue succeeded (out.After is then the rescued run).
 func (r *runner) rescueAfter(after *ir.Program, err error) error {
-	if r.opts.FailFast || r.out.Before == nil {
+	if r.opts.FailFast || r.baseline == nil {
 		return err
 	}
-	if r.bisect(after, r.out.Before) {
+	if r.bisect(after, r.baseline) {
 		return nil
 	}
 	return err

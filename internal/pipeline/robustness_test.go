@@ -49,11 +49,14 @@ func TestFaultInjectionEveryStage(t *testing.T) {
 				inj := faults.New(faults.Plan{Stage: stage, Mode: mode})
 				opts := pipeline.Options{
 					// Reach every stage: memopts needs PreMemOpts, the
-					// differential stage needs paranoid checking, and
-					// the measure stages need measurement enabled.
-					PreMemOpts: true,
-					Check:      pipeline.CheckParanoid,
-					Faults:     inj,
+					// differential stage needs paranoid checking, the
+					// measure stages need measurement enabled, and
+					// measure-before needs a profile mode whose training
+					// run does not double as the baseline.
+					PreMemOpts:    true,
+					Check:         pipeline.CheckParanoid,
+					Faults:        inj,
+					StaticProfile: stage == pipeline.StageMeasureBefore,
 				}
 				out, err := runNoPanic(t, multiFunc, opts)
 				if inj.Fired() == 0 {

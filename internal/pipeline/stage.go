@@ -76,7 +76,9 @@ const (
 
 // Stages returns every pipeline stage name in execution order. Fault
 // injection tests iterate this list to prove each stage's isolation
-// wrapper works.
+// wrapper works. StageMeasureBefore runs only when training cannot
+// supply the baseline run (StaticProfile or TrainSrc); in the default
+// profile mode the training run is the baseline.
 func Stages() []string {
 	return []string{
 		StageCompile, StageAlias, StageNormalize, StageTrain,
