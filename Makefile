@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BATCH ?= 32
 JOBS ?= $(shell nproc 2>/dev/null || echo 4)
 
-.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-bytecode bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster ci
+.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-bytecode bench-promote bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster ci
 
 build:
 	$(GO) build ./...
@@ -75,11 +75,18 @@ bench-hot:
 bench-bytecode:
 	$(GO) run ./cmd/rpbench -interp-bench 300 -json BENCH_bytecode.json
 
+# Promoter microbenchmark: core.PromoteFunction over one of the largest
+# generated programs (gen0048 of the large corpus, seed 7), with
+# allocations. Pinned to one CPU with cgo off so runs compare across
+# commits.
+bench-promote:
+	GOMAXPROCS=1 CGO_ENABLED=0 $(GO) test -run '^$$' -bench '^BenchmarkPromoteFunction$$' -benchmem -benchtime 20x -count=1 ./internal/core/
+
 # One-iteration pass over every microbenchmark, as a compile-and-run
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/ ./internal/core/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

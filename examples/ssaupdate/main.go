@@ -93,7 +93,7 @@ func main() {
 
 	dom := cfg.BuildDomTree(f)
 	df := cfg.BuildDomFrontiers(dom)
-	livePhis, err := ssa.UpdateForClonedResources(f, dom, df,
+	livePhis, err := ssa.UpdateForClonedResources(f, dom, df, ssa.NewRefIndex(f),
 		[]ir.ResourceID{v1.ID}, []ir.ResourceID{v2.ID, v3.ID})
 	if err != nil {
 		log.Fatal(err)

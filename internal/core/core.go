@@ -140,24 +140,7 @@ func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats,
 	if config.Profile == nil {
 		return nil, fmt.Errorf("core: promotion requires a profile")
 	}
-	p := &promoter{
-		f:      f,
-		forest: forest,
-		config: config,
-		stats:  &Stats{},
-	}
-	p.dom = config.Dom
-	if p.dom == nil {
-		p.dom = cfg.BuildDomTree(f)
-	}
-	p.df = config.DF
-	if !p.df.Valid() {
-		p.df = cfg.BuildDomFrontiers(p.dom)
-	}
-	if config.PressureBudget > 0 {
-		p.extra = make([]int, f.BlockIDBound())
-	}
-
+	p := newPromoter(f, forest, config)
 	var err error
 	if config.Scope == ScopeWholeFunction {
 		// The paper's first approach: one promotion pass over the whole
@@ -199,10 +182,39 @@ type promoter struct {
 	stats  *Stats
 	dom    *cfg.DomTree
 	df     cfg.DomFrontiers
+	// refs indexes f's memory references by base, so a web's live-out
+	// scan and its SSA update visit only the references of the web's
+	// base. Every instruction the promoter inserts with a memory
+	// reference is added to it.
+	refs *ssa.RefIndex
 	// extra, indexed by block ID, counts the registers already charged
 	// to each block by promotions in this pass (only allocated when a
 	// pressure budget is set).
 	extra []int
+}
+
+// newPromoter prepares a promotion pass over f: the dominance analyses
+// (config's when supplied) and the reference index.
+func newPromoter(f *ir.Function, forest *cfg.Forest, config Config) *promoter {
+	p := &promoter{
+		f:      f,
+		forest: forest,
+		config: config,
+		stats:  &Stats{},
+		dom:    config.Dom,
+		df:     config.DF,
+		refs:   ssa.NewRefIndex(f),
+	}
+	if p.dom == nil {
+		p.dom = cfg.BuildDomTree(f)
+	}
+	if !p.df.Valid() {
+		p.df = cfg.BuildDomFrontiers(p.dom)
+	}
+	if config.PressureBudget > 0 {
+		p.extra = make([]int, f.BlockIDBound())
+	}
+	return p
 }
 
 // freq returns the profile frequency of the block containing the given
@@ -274,10 +286,10 @@ func (p *promoter) spanBlocks(iv *cfg.Interval, w *web) []*ir.Block {
 		add(in.Parent)
 	}
 	for _, r := range w.aliasedLoads {
-		add(r.in.Parent)
+		add(r.In.Parent)
 	}
 	for _, r := range w.aliasedDefs {
-		add(r.in.Parent)
+		add(r.In.Parent)
 	}
 	for _, in := range w.memPhis {
 		add(in.Parent)
@@ -411,6 +423,7 @@ func (p *promoter) promoteLoadOnlyWeb(iv *cfg.Interval, w *web, plan *webPlan) {
 		// dominates every block (and hence every load) inside.
 		pre.InsertBeforeTerm(ld)
 	}
+	p.refs.Add(ld)
 	p.stats.LoadsInserted++
 
 	for _, ref := range w.loads {
@@ -436,6 +449,7 @@ func (p *promoter) addDummyLoad(iv *cfg.Interval, w *web, plan *webPlan) {
 	dummy := ir.NewInstr(ir.OpDummyLoad, ir.NoReg)
 	dummy.MemUses = []ir.MemRef{{Res: plan.liveIn, Aliased: true}}
 	iv.Preheader.InsertBeforeTerm(dummy)
+	p.refs.Add(dummy)
 	p.stats.DummyLoadsAdded++
 }
 
@@ -447,15 +461,3 @@ func replaceWithCopy(load *ir.Instr, v ir.Value) {
 	load.Loc = ir.MemLoc{}
 	load.MemUses = nil
 }
-
-// sortResources returns the web's resources in deterministic order.
-func sortResources(set map[ir.ResourceID]bool) []ir.ResourceID {
-	out := make([]ir.ResourceID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-var _ = ssa.PruneTrivialPhis // keep import grouping honest during refactors

@@ -55,6 +55,7 @@ func (t *transformer) insertLoadsAtPhiLeaves() {
 		ld.Loc = f.Res(ref.res).Loc
 		ld.MemUses = []ir.MemRef{{Res: ref.res}}
 		ref.at.Parent.InsertBefore(ld, ref.at)
+		t.p.refs.Add(ld)
 		// Leaf loads are looked up per (resource, block) — never through
 		// vrMap: the same leaf resource can feed several phis from
 		// different predecessor blocks (multi-entry intervals), and each
@@ -75,13 +76,7 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 		return reg, nil
 	}
 	f := t.p.f
-	var memPhi *ir.Instr
-	for _, phi := range t.w.memPhis {
-		if phi.MemDefs[0].Res == memRes {
-			memPhi = phi
-			break
-		}
-	}
+	memPhi := t.plan.definedByPhi[memRes]
 	if memPhi == nil {
 		return ir.NoReg, fmt.Errorf("core: materialize %s: not in vrMap and not phi-defined", f.Res(memRes))
 	}
@@ -115,17 +110,9 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 // replaceLoadsByCopies is Figure 5: every load of a store- or phi-
 // defined resource becomes a copy from the materialized register.
 func (t *transformer) replaceLoadsByCopies() {
-	definedByStore := make(map[ir.ResourceID]bool)
-	for _, st := range t.w.stores {
-		definedByStore[st.MemDefs[0].Res] = true
-	}
-	definedByPhi := make(map[ir.ResourceID]bool)
-	for _, phi := range t.w.memPhis {
-		definedByPhi[phi.MemDefs[0].Res] = true
-	}
 	for _, ld := range t.w.loads {
 		x := ld.MemUses[0].Res
-		if !definedByStore[x] && !definedByPhi[x] {
+		if !t.plan.definedByStore[x] && t.plan.definedByPhi[x] == nil {
 			continue // live-in or aliased-def value: must stay a load
 		}
 		reg, err := t.materializeStoreValue(x)
@@ -154,6 +141,7 @@ func (t *transformer) insertStoresForAliasedLoads() {
 		st.Loc = f.Res(t.w.base).Loc
 		st.MemDefs = []ir.MemRef{{Res: ver.ID}}
 		ref.at.Parent.InsertBefore(st, ref.at)
+		t.p.refs.Add(st)
 		t.cloned = append(t.cloned, ver.ID)
 		t.p.stats.StoresInserted++
 	}
@@ -177,6 +165,7 @@ func (t *transformer) insertStoresAtIntervalTails() {
 		} else {
 			ts.tail.Append(st)
 		}
+		t.p.refs.Add(st)
 		t.cloned = append(t.cloned, ver.ID)
 		t.p.stats.StoresInserted++
 	}
@@ -210,9 +199,9 @@ func (t *transformer) updateSSAAndDeleteStores() error {
 	for _, phi := range t.w.memPhis {
 		oldSet = append(oldSet, phi.MemDefs[0].Res)
 	}
-	// The dominator tree is unchanged (no CFG edits), but the frontier
-	// cache may be reused as-is too.
-	if _, err := ssa.UpdateForClonedResources(t.p.f, t.p.dom, t.p.df, oldSet, t.cloned); err != nil {
+	// Promotion never edits the CFG, so the promoter's dominator tree
+	// and frontiers still describe it.
+	if _, err := ssa.UpdateForClonedResources(t.p.f, t.p.dom, t.p.df, t.p.refs, oldSet, t.cloned); err != nil {
 		return err
 	}
 	for st := range before {

@@ -5,22 +5,8 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
+	"repro/internal/ssa"
 )
-
-// memRefSite is one memory reference: an operand slot on an instruction
-// (the paper's "reference").
-type memRefSite struct {
-	in    *ir.Instr
-	isDef bool
-	idx   int // index into MemDefs or MemUses
-}
-
-func (r memRefSite) res() ir.ResourceID {
-	if r.isDef {
-		return r.in.MemDefs[r.idx].Res
-	}
-	return r.in.MemUses[r.idx].Res
-}
 
 // web is one memory SSA web inside an interval, with the reference sets
 // of section 4.2 of the paper.
@@ -29,11 +15,11 @@ type web struct {
 	resources map[ir.ResourceID]bool
 
 	// Reference sets, all restricted to the interval.
-	loads        []*ir.Instr  // singleton loads (OpLoad)
-	stores       []*ir.Instr  // singleton stores (OpStore)
-	aliasedLoads []memRefSite // aliased uses: calls, pointer ops, dummies
-	aliasedDefs  []memRefSite // aliased defs: calls, pointer stores
-	memPhis      []*ir.Instr  // memphi instructions of the web
+	loads        []*ir.Instr   // singleton loads (OpLoad)
+	stores       []*ir.Instr   // singleton stores (OpStore)
+	aliasedLoads []ssa.RefSite // aliased uses: calls, pointer ops, dummies
+	aliasedDefs  []ssa.RefSite // aliased defs: calls, pointer stores
+	memPhis      []*ir.Instr   // memphi instructions of the web
 
 	// defsInInterval lists web resources defined inside the interval
 	// (by any kind of definition).
@@ -133,7 +119,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				case in.Op == ir.OpStore:
 					w.stores = append(w.stores, in)
 				default:
-					w.aliasedDefs = append(w.aliasedDefs, memRefSite{in, true, i})
+					w.aliasedDefs = append(w.aliasedDefs, ssa.RefSite{In: in, Def: true, Idx: i})
 				}
 			}
 			for i := range in.MemUses {
@@ -148,7 +134,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				case ir.OpLoad:
 					w.loads = append(w.loads, in)
 				default:
-					w.aliasedLoads = append(w.aliasedLoads, memRefSite{in, false, i})
+					w.aliasedLoads = append(w.aliasedLoads, ssa.RefSite{In: in, Idx: i})
 				}
 			}
 		}
@@ -182,6 +168,12 @@ func minRes(set map[ir.ResourceID]bool) ir.ResourceID {
 // resources, and the profit components.
 type webPlan struct {
 	liveIn ir.ResourceID // version valid on interval entry (NoResource if none)
+
+	// definedByStore and definedByPhi classify the web versions defined
+	// inside the interval by a direct store or by one of the web's
+	// memphis (mapped to that phi).
+	definedByStore map[ir.ResourceID]bool
+	definedByPhi   map[ir.ResourceID]*ir.Instr
 
 	// loadsAdded maps each insertion point to the resource to load
 	// before it (the paper's loads-added pairs (x, i)).
@@ -217,16 +209,15 @@ func (pl *webPlan) profit() float64 {
 
 // planWeb computes the analysis of section 4.3 for one web.
 func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
-	pl := &webPlan{liveIn: p.findLiveIn(iv, w)}
-
-	definedByStore := make(map[ir.ResourceID]bool)
+	definedByStore := make(map[ir.ResourceID]bool, len(w.stores))
 	for _, st := range w.stores {
 		definedByStore[st.MemDefs[0].Res] = true
 	}
-	definedByPhi := make(map[ir.ResourceID]*ir.Instr)
+	definedByPhi := make(map[ir.ResourceID]*ir.Instr, len(w.memPhis))
 	for _, phi := range w.memPhis {
 		definedByPhi[phi.MemDefs[0].Res] = phi
 	}
+	pl := &webPlan{liveIn: findLiveIn(w), definedByStore: definedByStore, definedByPhi: definedByPhi}
 
 	// loads-added: for each phi operand x:L that is a leaf (not defined
 	// by a web phi) and not defined by a web store, a load of x at the
@@ -264,7 +255,7 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 		}
 	}
 	for _, al := range w.aliasedLoads {
-		mark(al.res())
+		mark(al.Res())
 	}
 	seenStore := make(map[plannedRef]bool)
 	addStore := func(ref plannedRef) {
@@ -289,8 +280,8 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	// Case 2: an aliased load directly using a store-defined resource
 	// gets a store immediately before it.
 	for _, al := range w.aliasedLoads {
-		if definedByStore[al.res()] {
-			addStore(plannedRef{res: al.res(), at: al.in})
+		if definedByStore[al.Res()] {
+			addStore(plannedRef{res: al.Res(), at: al.In})
 		}
 	}
 	pl.storesAdded = p.pruneDominatedStores(pl.storesAdded)
@@ -298,13 +289,20 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	// Interval tail stores: per exit edge, the reaching web definition;
 	// a store is needed when it is a store- or phi-defined version with
 	// uses outside the interval.
-	liveOut := p.liveOutResources(iv, w, definedByStore, definedByPhi)
+	var exits []tailStore
 	for _, e := range iv.ExitEdges {
 		r := p.reachingWebDefAt(iv, w, e.From)
-		if r == ir.NoResource || !liveOut[r] {
-			continue
+		if definedByStore[r] || definedByPhi[r] != nil {
+			exits = append(exits, tailStore{res: r, tail: e.Tail})
 		}
-		pl.tailStores = append(pl.tailStores, tailStore{res: r, tail: e.Tail})
+	}
+	if len(exits) > 0 {
+		liveOut := p.liveOutResources(iv, w, exits)
+		for _, ts := range exits {
+			if liveOut[ts.res] {
+				pl.tailStores = append(pl.tailStores, ts)
+			}
+		}
 	}
 
 	// Profit (section 4.3). Replaceable loads are those whose resource
@@ -347,20 +345,20 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 // pruneDominatedStores drops (x, j) when (x, i) exists and i dominates
 // j, the paper's redundancy rule.
 func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
-	pos := func(in *ir.Instr) (blk *ir.Block, idx int) {
-		blk = in.Parent
-		for i, x := range blk.Instrs {
-			if x == in {
-				return blk, i
+	// Each insertion point's position in its block, found once.
+	pos := make([]int, len(refs))
+	for i, r := range refs {
+		for k, x := range r.at.Parent.Instrs {
+			if x == r.at {
+				pos[i] = k
+				break
 			}
 		}
-		return blk, -1
 	}
-	dominates := func(a, b *ir.Instr) bool {
-		ba, ia := pos(a)
-		bb, ib := pos(b)
+	dominates := func(a, b int) bool {
+		ba, bb := refs[a].at.Parent, refs[b].at.Parent
 		if ba == bb {
-			return ia < ib
+			return pos[a] < pos[b]
 		}
 		return p.dom.Dominates(ba, bb)
 	}
@@ -371,7 +369,7 @@ func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
 			if i == j || q.res != r.res {
 				continue
 			}
-			if dominates(q.at, r.at) && !(dominates(r.at, q.at) && j > i) {
+			if dominates(j, i) && !(dominates(i, j) && j > i) {
 				dominated = true
 				break
 			}
@@ -383,33 +381,35 @@ func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
 	return kept
 }
 
-// findLiveIn returns the web's unique live-in resource: the version used
+// findLiveIn returns the web's live-in resource: the version used
 // inside the interval but defined outside it (or never defined, i.e.
-// version 0). NoResource if the web has none.
-func (p *promoter) findLiveIn(iv *cfg.Interval, w *web) ir.ResourceID {
-	for _, r := range sortResources(w.resources) {
-		def, definedInside := w.defsInInterval[r]
-		_ = def
-		if !definedInside {
-			return r
+// version 0), the smallest ID should several qualify. NoResource if the
+// web has none.
+func findLiveIn(w *web) ir.ResourceID {
+	liveIn := ir.NoResource
+	for r := range w.resources {
+		if _, inside := w.defsInInterval[r]; !inside && (liveIn == ir.NoResource || r < liveIn) {
+			liveIn = r
 		}
 	}
-	return ir.NoResource
+	return liveIn
 }
 
-// liveOutResources returns the web versions defined inside the interval
-// by a store or phi that have uses outside it.
-func (p *promoter) liveOutResources(iv *cfg.Interval, w *web, byStore map[ir.ResourceID]bool, byPhi map[ir.ResourceID]*ir.Instr) map[ir.ResourceID]bool {
-	out := make(map[ir.ResourceID]bool)
-	for _, b := range p.f.Blocks {
-		if iv.Contains(b) {
+// liveOutResources reports which of the exits' reaching versions —
+// versions defined inside the interval by a web store or phi — have
+// uses outside the interval. Every such use references the web's base,
+// so only the base's sites are visited.
+func (p *promoter) liveOutResources(iv *cfg.Interval, w *web, exits []tailStore) map[ir.ResourceID]bool {
+	out := make(map[ir.ResourceID]bool, len(exits))
+	for _, site := range p.refs.Sites(w.base) {
+		if site.Def || iv.Contains(site.In.Parent) {
 			continue
 		}
-		for _, in := range b.Instrs {
-			for _, u := range in.MemUses {
-				if w.resources[u.Res] && (byStore[u.Res] || byPhi[u.Res] != nil) {
-					out[u.Res] = true
-				}
+		r := site.Res()
+		for _, ts := range exits {
+			if ts.res == r {
+				out[r] = true
+				break
 			}
 		}
 	}

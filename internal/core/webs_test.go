@@ -43,14 +43,7 @@ func prep(t *testing.T, src string) (*promoter, *cfg.Forest) {
 	if _, err := ssa.Build(f); err != nil {
 		t.Fatal(err)
 	}
-	p := &promoter{
-		f:      f,
-		forest: forest,
-		config: Config{Profile: res.Profile.ForFunc("main"), CountTailStores: true},
-		stats:  &Stats{},
-	}
-	p.dom = cfg.BuildDomTree(f)
-	p.df = cfg.BuildDomFrontiers(p.dom)
+	p := newPromoter(f, forest, Config{Profile: res.Profile.ForFunc("main"), CountTailStores: true})
 	return p, forest
 }
 

@@ -40,7 +40,7 @@ func ConvertResourceToSSA(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers,
 	if len(cloned) == 0 {
 		return 0, nil
 	}
-	if _, err := UpdateForClonedResources(f, dom, df, []ir.ResourceID{base}, cloned); err != nil {
+	if _, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f), []ir.ResourceID{base}, cloned); err != nil {
 		return 0, err
 	}
 	return len(cloned), nil

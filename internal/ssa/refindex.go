@@ -1,0 +1,125 @@
+package ssa
+
+import (
+	"sort"
+
+	"repro/internal/ir"
+)
+
+// RefSite is one memory reference — the paper's "reference": slot Idx
+// of In's MemDefs when Def is set, of its MemUses otherwise.
+type RefSite struct {
+	In  *ir.Instr
+	Idx int
+	Def bool
+	// blk is In's block when the site was indexed: the index's sort key,
+	// kept after In leaves its block.
+	blk ir.BlockID
+}
+
+// Res returns the resource version the reference names.
+func (s RefSite) Res() ir.ResourceID {
+	if s.Def {
+		return s.In.MemDefs[s.Idx].Res
+	}
+	return s.In.MemUses[s.Idx].Res
+}
+
+// live reports whether the reference still exists: its instruction is
+// in a block and still has the slot.
+func (s RefSite) live() bool {
+	if s.In.Parent == nil {
+		return false
+	}
+	if s.Def {
+		return s.Idx < len(s.In.MemDefs)
+	}
+	return s.Idx < len(s.In.MemUses)
+}
+
+// RefIndex maps each base resource to its reference sites: every
+// definition or use of some version of the base. It lets a pass that
+// works on one variable at a time — register promotion, the incremental
+// SSA update — visit only that variable's references instead of
+// scanning every block of the function, and a call's reference to the
+// base without its references to every other base.
+//
+// A base's sites are kept in block order: grouped by block, blocks in
+// ascending ID order, which is f.Blocks order (blocks are appended with
+// increasing IDs and nothing reorders the list). Within a block, sites
+// present when the index was built come first in instruction order;
+// sites added later follow them.
+//
+// The index stays current when every pass editing f's memory references
+// follows three rules: an instruction inserted with memory references is
+// passed to Add; a removed instruction needs nothing (Sites drops the
+// references of instructions whose Parent is nil); an in-place rewrite
+// may only rename a reference to another version of the same base or
+// clear the instruction's references altogether (a load turned into a
+// copy). UpdateForClonedResources follows them for the phis it inserts
+// and the definitions it deletes. The CFG must not change, nor base
+// resources be added, while the index is in use.
+type RefIndex struct {
+	f     *ir.Function
+	sites [][]RefSite // indexed by base ResourceID
+}
+
+// NewRefIndex indexes every memory reference of f in one pass.
+func NewRefIndex(f *ir.Function) *RefIndex {
+	x := &RefIndex{f: f, sites: make([][]RefSite, len(f.Resources))}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			x.forEachRef(in, func(base ir.ResourceID, site RefSite) {
+				x.sites[base] = append(x.sites[base], site)
+			})
+		}
+	}
+	return x
+}
+
+// Func returns the function the index describes.
+func (x *RefIndex) Func() *ir.Function { return x.f }
+
+// forEachRef calls fn with every memory reference of in and the base it
+// names.
+func (x *RefIndex) forEachRef(in *ir.Instr, fn func(ir.ResourceID, RefSite)) {
+	blk := in.Parent.ID
+	for i, d := range in.MemDefs {
+		fn(x.f.Resources[d.Res].Orig, RefSite{In: in, Idx: i, Def: true, blk: blk})
+	}
+	for i, u := range in.MemUses {
+		fn(x.f.Resources[u.Res].Orig, RefSite{In: in, Idx: i, blk: blk})
+	}
+}
+
+// Add records the references of in, which has just been inserted into
+// a block of f. The cost is linear in the sites of the bases it
+// references.
+func (x *RefIndex) Add(in *ir.Instr) {
+	x.forEachRef(in, func(base ir.ResourceID, site RefSite) {
+		// Insert after the sites of in's block and of the blocks before
+		// it. Dead sites keep their key, so the list stays sorted.
+		s := x.sites[base]
+		i := sort.Search(len(s), func(i int) bool { return s[i].blk > site.blk })
+		s = append(s, RefSite{})
+		copy(s[i+1:], s[i:])
+		s[i] = site
+		x.sites[base] = s
+	})
+}
+
+// Sites returns the reference sites of base in block order, after
+// dropping the references removed or cleared since the last call. The
+// slice aliases the index: it is valid until the next Add or Sites.
+func (x *RefIndex) Sites(base ir.ResourceID) []RefSite {
+	s := x.sites[base]
+	kept := s[:0]
+	for _, site := range s {
+		if site.live() {
+			kept = append(kept, site)
+		}
+	}
+	clear(s[len(kept):])
+	x.sites[base] = kept
+	return kept
+}

@@ -3,6 +3,7 @@ package ssa
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -15,7 +16,8 @@ import (
 // the same base whose defining instructions have already been inserted
 // into the code stream (for register promotion these are the
 // compensation stores; loop unrolling would pass the duplicated
-// definitions). The update:
+// definitions). refs indexes f's memory references and must already
+// list the cloned definitions. The update:
 //
 //  1. collects the definition blocks of old and cloned resources,
 //     computes their iterated dominance frontier in one batch, and
@@ -37,10 +39,24 @@ import (
 // step 4 is why the paper can promise that cloning introduces no dead
 // code.
 //
-// It returns the set of memphi instructions it inserted and left alive.
-func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
+// Every step reads only the base's reference sites from refs, never
+// f's block list: a memphi's target and operands are versions of one
+// base and only definitions of the base are deleted, so the liveness of
+// other bases cannot change the result. The cost is therefore
+// proportional to the base's references — its sites, its iterated
+// dominance frontier, and the dominator-tree walks from renamed uses,
+// which scan only blocks holding a definition of the updated versions —
+// not to the size of the function. refs is kept current: inserted phis
+// are added, deleted definitions drop out.
+//
+// It returns the memphi instructions it inserted and left alive, in
+// placement order.
+func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, refs *RefIndex, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
 	if len(oldRes) == 0 {
 		return nil, fmt.Errorf("ssa: update with empty oldRes set")
+	}
+	if refs.Func() != f {
+		return nil, fmt.Errorf("ssa: reference index of %s used to update %s", refs.Func().Name, f.Name)
 	}
 	base := f.BaseOf(oldRes[0]).ID
 	for _, r := range append(append([]ir.ResourceID(nil), oldRes...), cloned...) {
@@ -51,34 +67,45 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	}
 
 	u := &updater{
-		f:    f,
-		dom:  dom,
-		base: base,
-		old:  make(map[ir.ResourceID]bool, len(oldRes)),
-		all:  make(map[ir.ResourceID]bool, len(oldRes)+len(cloned)),
+		dom:       dom,
+		base:      base,
+		old:       bitset.NewDense(len(f.Resources)),
+		all:       bitset.NewDense(len(f.Resources)),
+		defBlocks: bitset.NewDense(int(f.BlockIDBound())),
 	}
 	for _, r := range oldRes {
-		u.old[r] = true
-		u.all[r] = true
+		u.old.Set(int(r))
+		u.all.Set(int(r))
 	}
 	for _, r := range cloned {
-		u.all[r] = true
+		u.all.Set(int(r))
 	}
 
 	// Step 1: batch phi placement at the IDF of every definition block.
+	// Sites come in block order, so defBlocks lists blocks in f.Blocks
+	// order, which fixes the order of IteratedDF's result and hence the
+	// numbering of the new versions.
+	defOf := make(map[ir.ResourceID]*ir.Instr, len(oldRes)+len(cloned))
 	var defBlocks []*ir.Block
-	seen := make(map[*ir.Block]bool)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, d := range in.MemDefs {
-				if u.all[d.Res] && !seen[b] {
-					seen[b] = true
-					defBlocks = append(defBlocks, b)
-				}
-			}
+	for _, site := range refs.Sites(base) {
+		if !site.Def || !u.all.Has(int(site.Res())) {
+			continue
+		}
+		defOf[site.Res()] = site.In
+		if b := site.In.Parent; !u.defBlocks.Has(int(b.ID)) {
+			u.defBlocks.Set(int(b.ID))
+			defBlocks = append(defBlocks, b)
 		}
 	}
-	newPhis := make(map[*ir.Instr]bool)
+	for _, r := range cloned {
+		if defOf[r] == nil {
+			return nil, fmt.Errorf("ssa: cloned version %s has no definition in the reference index", f.Res(r))
+		}
+	}
+	// New phi targets are the versions numbered from firstNew on, in
+	// placement order: newPhis[r-firstNew] defines r.
+	firstNew := ir.ResourceID(len(f.Resources))
+	var newPhis []*ir.Instr
 	for _, jb := range cfg.IteratedDF(df, defBlocks) {
 		if dom.RPOIndex(jb) < 0 {
 			continue
@@ -91,45 +118,41 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			phi.MemUses[i] = ir.MemRef{Res: base} // placeholder until filled
 		}
 		jb.InsertPhi(phi)
-		newPhis[phi] = true
-		u.all[target.ID] = true
+		refs.Add(phi)
+		newPhis = append(newPhis, phi)
+		u.defBlocks.Set(int(jb.ID))
 	}
-	u.indexDefs()
+	u.all.Grow(len(f.Resources))
+	for r := firstNew; int(r) < len(f.Resources); r++ {
+		u.all.Set(int(r))
+	}
+	isNewPhi := func(in *ir.Instr) bool {
+		return in.Op == ir.OpMemPhi && in.MemDefs[0].Res >= firstNew
+	}
 
 	// Step 2: rename uses of old resources to their reaching defs.
-	live := make(map[*ir.Instr]bool)
+	live := make([]bool, len(newPhis))
 	var work []*ir.Instr
 	enqueue := func(def ir.ResourceID) {
-		if phi := u.defInstr[def]; phi != nil && newPhis[phi] && !live[phi] {
-			live[phi] = true
-			work = append(work, phi)
+		if def >= firstNew && !live[def-firstNew] {
+			live[def-firstNew] = true
+			work = append(work, newPhis[def-firstNew])
 		}
 	}
-	for _, b := range f.Blocks {
-		if dom.RPOIndex(b) < 0 {
-			continue
+	for _, site := range refs.Sites(base) {
+		in, b := site.In, site.In.Parent
+		if site.Def || !u.old.Has(int(site.Res())) || isNewPhi(in) || dom.RPOIndex(b) < 0 {
+			continue // new phis' operands are filled in step 3
 		}
-		for idx, in := range b.Instrs {
-			if newPhis[in] {
-				continue // operands are filled in step 3
-			}
-			for i := range in.MemUses {
-				if !u.old[in.MemUses[i].Res] {
-					continue
-				}
-				var rdef ir.ResourceID
-				if in.Op == ir.OpMemPhi {
-					pred := b.Preds[i]
-					rdef = u.reachingDef(pred, len(pred.Instrs))
-				} else {
-					rdef = u.reachingDef(b, idx)
-				}
-				if rdef != in.MemUses[i].Res {
-					in.MemUses[i].Res = rdef
-				}
-				enqueue(rdef)
-			}
+		var rdef ir.ResourceID
+		if in.Op == ir.OpMemPhi {
+			pred := b.Preds[site.Idx]
+			rdef = u.reachingDef(pred, len(pred.Instrs), nil)
+		} else {
+			rdef = u.reachingDef(b, u.indexOf(in), nil)
 		}
+		in.MemUses[site.Idx].Res = rdef
+		enqueue(rdef)
 	}
 
 	// Step 3: fill the operands of live new phis, propagating liveness.
@@ -138,7 +161,7 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 		work = work[:len(work)-1]
 		b := phi.Parent
 		for pi, pred := range b.Preds {
-			rdef := u.reachingDefExcluding(pred, len(pred.Instrs), phi)
+			rdef := u.reachingDef(pred, len(pred.Instrs), phi)
 			phi.MemUses[pi].Res = rdef
 			enqueue(rdef)
 		}
@@ -146,11 +169,12 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 
 	// Unreached new phis are dead; remove them before counting uses so
 	// their placeholder operands do not hold other defs alive.
-	var alive []*ir.Instr
-	for phi := range newPhis {
-		if !live[phi] {
-			delete(u.all, phi.MemDefs[0].Res)
+	for i, phi := range newPhis {
+		if !live[i] {
+			u.all.Clear(int(phi.MemDefs[0].Res))
 			phi.Parent.Remove(phi)
+		} else {
+			defOf[phi.MemDefs[0].Res] = phi
 		}
 	}
 
@@ -159,61 +183,54 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	// and a join phi feeding each other), so liveness is computed by
 	// mark and sweep: a version is live when a non-phi instruction uses
 	// it, or when a memphi whose own target is live uses it. The sweep
-	// must see every memphi in the function — phis outside the updated
+	// must see every memphi of the base — phis outside the updated
 	// family (for example an enclosing loop's header phi) legitimately
-	// keep cloned definitions alive.
-	u.indexDefs()
-	allPhiDefs := make(map[ir.ResourceID]*ir.Instr)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi {
-				allPhiDefs[in.MemDefs[0].Res] = in
-			}
-		}
-	}
-	liveRes := make(map[ir.ResourceID]bool)
+	// keep cloned definitions alive — but no other base's: their
+	// versions are never operands of the base's phis.
+	phiDef := make(map[ir.ResourceID]*ir.Instr)
+	liveRes := bitset.NewDense(len(f.Resources))
 	var resWork []ir.ResourceID
 	markRes := func(r ir.ResourceID) {
-		if !liveRes[r] {
-			liveRes[r] = true
+		if !liveRes.Has(int(r)) {
+			liveRes.Set(int(r))
 			resWork = append(resWork, r)
 		}
 	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi {
-				continue
+	for _, site := range refs.Sites(base) {
+		switch {
+		case site.In.Op != ir.OpMemPhi:
+			if !site.Def {
+				markRes(site.Res())
 			}
-			for _, use := range in.MemUses {
-				markRes(use.Res)
-			}
+		case site.Def:
+			phiDef[site.Res()] = site.In
 		}
 	}
 	for len(resWork) > 0 {
 		r := resWork[len(resWork)-1]
 		resWork = resWork[:len(resWork)-1]
-		if phi := allPhiDefs[r]; phi != nil {
+		if phi := phiDef[r]; phi != nil {
 			for _, use := range phi.MemUses {
 				markRes(use.Res)
 			}
 		}
 	}
-	for res := range u.all {
-		if liveRes[res] {
-			continue
+	u.all.ForEach(func(r int) {
+		if liveRes.Has(r) {
+			return
 		}
-		in := u.defInstr[res]
+		in := defOf[ir.ResourceID(r)]
 		if in == nil || in.Parent == nil {
-			continue
+			return
 		}
 		switch in.Op {
 		case ir.OpMemPhi, ir.OpStore:
 			in.Parent.Remove(in)
-			delete(newPhis, in)
 		}
-	}
-	for phi := range newPhis {
-		if phi.Parent != nil && live[phi] {
+	})
+	var alive []*ir.Instr
+	for _, phi := range newPhis {
+		if phi.Parent != nil {
 			alive = append(alive, phi)
 		}
 	}
@@ -221,56 +238,55 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 }
 
 type updater struct {
-	f    *ir.Function
 	dom  *cfg.DomTree
 	base ir.ResourceID
-	old  map[ir.ResourceID]bool
-	all  map[ir.ResourceID]bool
-
-	defInstr map[ir.ResourceID]*ir.Instr
+	old  *bitset.Dense // resource IDs renamed away from
+	all  *bitset.Dense // old, cloned and inserted-phi resource IDs
+	// defBlocks holds the IDs of blocks containing a definition of a
+	// resource in all: the only blocks reachingDef needs to scan.
+	defBlocks *bitset.Dense
 }
 
-func (u *updater) indexDefs() {
-	u.defInstr = make(map[ir.ResourceID]*ir.Instr)
-	for _, b := range u.f.Blocks {
-		for _, in := range b.Instrs {
-			for _, d := range in.MemDefs {
-				if u.all[d.Res] {
-					u.defInstr[d.Res] = in
-				}
-			}
+// indexOf returns in's position in its block, or 0 when the block holds
+// no tracked definition and reachingDef will not scan it.
+func (u *updater) indexOf(in *ir.Instr) int {
+	b := in.Parent
+	if !u.defBlocks.Has(int(b.ID)) {
+		return 0
+	}
+	for i, x := range b.Instrs {
+		if x == in {
+			return i
 		}
 	}
+	panic(fmt.Sprintf("ssa: instruction %v not in its block %v", in.Op, b))
 }
 
 // reachingDef is the paper's computeReachingDef: the nearest definition
 // of any resource in the tracked set that precedes position (blk, idx),
 // found by scanning backward in the block and then walking the dominator
-// tree toward the root. If no definition reaches, the base's live-in
-// version 0 is returned.
-func (u *updater) reachingDef(blk *ir.Block, idx int) ir.ResourceID {
-	return u.reachingDefExcluding(blk, idx, nil)
-}
-
-// reachingDefExcluding is reachingDef but skips the definition made by
-// skip. Filling a phi's operand from a predecessor must not see the
-// phi itself (possible when the predecessor is the phi's own block in a
-// self-loop).
-func (u *updater) reachingDefExcluding(blk *ir.Block, idx int, skip *ir.Instr) ir.ResourceID {
+// tree toward the root, skipping blocks without a tracked definition.
+// If no definition reaches, the base's live-in version 0 is returned.
+// The definition made by skip is passed over: filling a phi's operand
+// from a predecessor must not see the phi itself (possible when the
+// predecessor is the phi's own block in a self-loop).
+func (u *updater) reachingDef(blk *ir.Block, idx int, skip *ir.Instr) ir.ResourceID {
 	for b := blk; ; {
-		instrs := b.Instrs
-		limit := len(instrs)
-		if b == blk {
-			limit = idx
-		}
-		for i := limit - 1; i >= 0; i-- {
-			in := instrs[i]
-			if in == skip {
-				continue
+		if u.defBlocks.Has(int(b.ID)) {
+			instrs := b.Instrs
+			limit := len(instrs)
+			if b == blk {
+				limit = idx
 			}
-			for _, d := range in.MemDefs {
-				if u.all[d.Res] {
-					return d.Res
+			for i := limit - 1; i >= 0; i-- {
+				in := instrs[i]
+				if in == skip {
+					continue
+				}
+				for _, d := range in.MemDefs {
+					if u.all.Has(int(d.Res)) {
+						return d.Res
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package ssa
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cfg"
@@ -122,7 +123,7 @@ func TestUpdateFigure9(t *testing.T) {
 
 	dom := cfg.BuildDomTree(f)
 	df := cfg.BuildDomFrontiers(dom)
-	livePhis, err := UpdateForClonedResources(f, dom, df,
+	livePhis, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f),
 		[]ir.ResourceID{fg.v1}, []ir.ResourceID{fg.v2, fg.v3})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestUpdateKeepsOldDefWithRemainingUses(t *testing.T) {
 
 	dom := cfg.BuildDomTree(f)
 	df := cfg.BuildDomFrontiers(dom)
-	if _, err := UpdateForClonedResources(f, dom, df,
+	if _, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f),
 		[]ir.ResourceID{fg.v1}, []ir.ResourceID{fg.v2, fg.v3}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestUpdateSingleClone(t *testing.T) {
 
 	dom := cfg.BuildDomTree(f)
 	df := cfg.BuildDomFrontiers(dom)
-	live, err := UpdateForClonedResources(f, dom, df,
+	live, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f),
 		[]ir.ResourceID{v1.ID}, []ir.ResourceID{v2.ID})
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +302,153 @@ func TestUpdateRejectsMixedBases(t *testing.T) {
 	b.Append(ir.NewInstr(ir.OpRet, ir.NoReg))
 	dom := cfg.BuildDomTree(f)
 	df := cfg.BuildDomFrontiers(dom)
-	if _, err := UpdateForClonedResources(f, dom, df,
+	if _, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f),
 		[]ir.ResourceID{bx.ID}, []ir.ResourceID{by.ID}); err == nil {
 		t.Fatal("mixed-base update accepted, want error")
+	}
+}
+
+// TestUpdateSweepsOnlyTheUpdatedBase updates the inner loop of a loop
+// nest for base a, in a function where base b carries dead code of its
+// own: a store and a memphi cycle nothing reads. The update's dead-
+// definition sweep is restricted to a's references. It must still
+// retire a's dead phi cycle, must keep a cloned a definition whose only
+// reader is a memphi outside the updated family (the enclosing loop's
+// header phi), and must leave every instruction of b untouched.
+func TestUpdateSweepsOnlyTheUpdatedBase(t *testing.T) {
+	p := ir.NewProgram()
+	ga := p.AddGlobal("a", 1, false, nil)
+	gb := p.AddGlobal("b", 1, false, nil)
+	f := ir.NewFunction(p, "nest")
+	a := f.AddResource("a", ir.ResScalar, ir.GlobalLoc(ga, 0)).ID
+	b := f.AddResource("b", ir.ResScalar, ir.GlobalLoc(gb, 0)).ID
+	cond := f.NewReg("c")
+	f.Params = []ir.RegID{cond}
+
+	// b0 -> b1 (outer header) -> b2 (inner header) -> b3 -> {b4, b5}
+	// -> b6 (inner latch) -> b2; b2 -> b7 (outer latch) -> b1;
+	// b1 -> b8 (exit).
+	var blk []*ir.Block
+	for i := 0; i < 9; i++ {
+		blk = append(blk, f.NewBlock())
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 8}, {2, 3}, {2, 7}, {3, 4}, {3, 5}, {4, 6}, {5, 6}, {6, 2}, {7, 1}} {
+		ir.AddEdge(blk[e[0]], blk[e[1]])
+	}
+	ver := func(base ir.ResourceID) ir.ResourceID { return f.NewVersion(base).ID }
+	store := func(res ir.ResourceID, g *ir.Global) *ir.Instr {
+		st := ir.NewInstr(ir.OpStore, ir.NoReg, ir.ConstVal(1))
+		st.Loc = ir.GlobalLoc(g, 0)
+		st.MemDefs = []ir.MemRef{{Res: res}}
+		return st
+	}
+	memphi := func(target ir.ResourceID, ops ...ir.ResourceID) *ir.Instr {
+		phi := ir.NewInstr(ir.OpMemPhi, ir.NoReg)
+		phi.MemDefs = []ir.MemRef{{Res: target}}
+		for _, op := range ops {
+			phi.MemUses = append(phi.MemUses, ir.MemRef{Res: op})
+		}
+		return phi
+	}
+	a1, a2, a3, a4, a5 := ver(a), ver(a), ver(a), ver(a), ver(a)
+	b1, b2, b3 := ver(b), ver(b), ver(b)
+
+	stA1, stB1 := store(a1, ga), store(b1, gb)
+	blk[0].Append(stA1)
+	blk[0].Append(stB1)
+	blk[0].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	phiA2, phiB2 := memphi(a2, a1, a3), memphi(b2, b1, b3)
+	blk[1].Append(phiA2)
+	blk[1].Append(phiB2)
+	blk[1].Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	phiA3, phiB3 := memphi(a3, a2, a5), memphi(b3, b2, b3)
+	blk[2].Append(phiA3)
+	blk[2].Append(phiB3)
+	blk[2].Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	blk[3].Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	stA4 := store(a4, ga)
+	blk[4].Append(stA4)
+	blk[4].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	blk[5].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	phiA5 := memphi(a5, a4, a3)
+	blk[6].Append(phiA5)
+	blk[6].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	blk[7].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	use := ir.NewInstr(ir.OpLoad, f.NewReg(""))
+	use.Loc = ir.GlobalLoc(ga, 0)
+	use.MemUses = []ir.MemRef{{Res: a2}}
+	blk[8].Append(use)
+	blk[8].Append(ir.NewInstr(ir.OpRet, ir.NoReg))
+	if err := f.Verify(ir.VerifySSA); err != nil {
+		t.Fatalf("loop nest invalid: %v\n%s", err, f)
+	}
+
+	// b's instructions as they stand before the update.
+	type snapshot struct {
+		in         *ir.Instr
+		parent     *ir.Block
+		defs, uses []ir.MemRef
+	}
+	var bInstrs []snapshot
+	for _, in := range []*ir.Instr{stB1, phiB2, phiB3} {
+		bInstrs = append(bInstrs, snapshot{in, in.Parent,
+			append([]ir.MemRef(nil), in.MemDefs...), append([]ir.MemRef(nil), in.MemUses...)})
+	}
+
+	// Promoting a in the inner loop: its header phi, store and join phi
+	// are the old versions; the clone is the store in the inner loop's
+	// exit block, which only the outer header phi reads.
+	clone := store(ver(a), ga)
+	blk[7].InsertBefore(clone, blk[7].Term())
+	dom := cfg.BuildDomTree(f)
+	df := cfg.BuildDomFrontiers(dom)
+	if _, err := UpdateForClonedResources(f, dom, df, NewRefIndex(f),
+		[]ir.ResourceID{a3, a4, a5}, []ir.ResourceID{clone.MemDefs[0].Res}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, s := range bInstrs {
+		if s.in.Parent != s.parent {
+			t.Errorf("%v of b moved or deleted (in %v, was in %v)", s.in.Op, s.in.Parent, s.parent)
+		}
+		if !reflect.DeepEqual(s.in.MemDefs, s.defs) || !reflect.DeepEqual(s.in.MemUses, s.uses) {
+			t.Errorf("%v of b rewritten: defs %v uses %v, was %v %v", s.in.Op, s.in.MemDefs, s.in.MemUses, s.defs, s.uses)
+		}
+	}
+	for _, in := range []*ir.Instr{phiA3, phiA5, stA4} {
+		if in.Parent != nil {
+			t.Errorf("dead %v defining %s survived the sweep\n%s", in.Op, f.Res(in.MemDefs[0].Res), f)
+		}
+	}
+	if clone.Parent == nil {
+		t.Errorf("clone read only by the outer header phi was deleted\n%s", f)
+	}
+	if got := phiA2.MemUses[1].Res; got != clone.MemDefs[0].Res {
+		t.Errorf("outer header phi reads %s from the outer latch, want the clone %s", f.Res(got), f.Res(clone.MemDefs[0].Res))
+	}
+	if stA1.Parent == nil || phiA2.Parent == nil {
+		t.Error("live a definitions outside the updated family were deleted")
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Phis() {
+			if in.Op == ir.OpMemPhi && in != phiA2 && in != phiB2 && in != phiB3 {
+				t.Errorf("inserted memphi %s survived in %v", f.Res(in.MemDefs[0].Res), b)
+			}
+		}
+	}
+	if err := f.Verify(ir.VerifySSA); err != nil {
+		t.Fatalf("post-update SSA invalid: %v\n%s", err, f)
+	}
+}
+
+func TestUpdateRejectsUnindexedClone(t *testing.T) {
+	fg := buildFigure9(t)
+	refs := NewRefIndex(fg.f) // built before the clones are inserted
+	fg.cloneStores(t)
+	dom := cfg.BuildDomTree(fg.f)
+	df := cfg.BuildDomFrontiers(dom)
+	if _, err := UpdateForClonedResources(fg.f, dom, df, refs,
+		[]ir.ResourceID{fg.v1}, []ir.ResourceID{fg.v2, fg.v3}); err == nil {
+		t.Fatal("update accepted clones missing from the reference index, want error")
 	}
 }
