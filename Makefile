@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BATCH ?= 32
 JOBS ?= $(shell nproc 2>/dev/null || echo 4)
 
-.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-bytecode bench-promote bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster ci
+.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-bytecode bench-promote bench-pipeline bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster ci
 
 build:
 	$(GO) build ./...
@@ -82,11 +82,19 @@ bench-bytecode:
 bench-promote:
 	GOMAXPROCS=1 CGO_ENABLED=0 $(GO) test -run '^$$' -bench '^BenchmarkPromoteFunction$$' -benchmem -benchtime 20x -count=1 ./internal/core/
 
+# Whole-pipeline microbenchmark: pipeline.Run over gen0043 of the large
+# corpus (seed 7), the gen-large-static program with the most
+# instructions, in that workload's mode (static profile, no measurement,
+# default workers), with allocations. Two CPUs, so the worker pool
+# overlaps the largest function's chain with the others.
+bench-pipeline:
+	GOMAXPROCS=2 CGO_ENABLED=0 $(GO) test -run '^$$' -bench '^BenchmarkRunLargeStatic$$' -benchmem -benchtime 20x -count=1 ./internal/pipeline/
+
 # One-iteration pass over every microbenchmark, as a compile-and-run
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/ ./internal/core/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/ ./internal/core/ ./internal/opt/ ./internal/pipeline/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

@@ -163,11 +163,7 @@ func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats,
 	// The paper's cleanup(): dummy aliased loads served their purpose;
 	// delete them, then sweep the copy/dead-code residue.
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			if in.Op == ir.OpDummyLoad {
-				b.Remove(in)
-			}
-		}
+		b.RemoveIf(func(in *ir.Instr) bool { return in.Op == ir.OpDummyLoad })
 	}
 	if !config.KeepCleanupResidue {
 		opt.Cleanup(f)
@@ -187,6 +183,9 @@ type promoter struct {
 	// base. Every instruction the promoter inserts with a memory
 	// reference is added to it.
 	refs *ssa.RefIndex
+	// webTables is web construction's scratch space, reused by every
+	// interval.
+	webTables webTables
 	// extra, indexed by block ID, counts the registers already charged
 	// to each block by promotions in this pass (only allocated when a
 	// pressure budget is set).

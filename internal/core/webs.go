@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -11,8 +11,10 @@ import (
 // web is one memory SSA web inside an interval, with the reference sets
 // of section 4.2 of the paper.
 type web struct {
-	base      ir.ResourceID // base resource all versions rename
-	resources map[ir.ResourceID]bool
+	base ir.ResourceID // base resource all versions rename
+	// resources lists the web's versions in ascending order; the first
+	// is the union-find root that orders webs.
+	resources []ir.ResourceID
 
 	// Reference sets, all restricted to the interval.
 	loads        []*ir.Instr   // singleton loads (OpLoad)
@@ -21,31 +23,61 @@ type web struct {
 	aliasedDefs  []ssa.RefSite // aliased defs: calls, pointer stores
 	memPhis      []*ir.Instr   // memphi instructions of the web
 
-	// defsInInterval lists web resources defined inside the interval
-	// (by any kind of definition).
+	// defsInInterval maps the web resources defined inside the interval
+	// (by any kind of definition) to their definitions; nil while there
+	// are none.
 	defsInInterval map[ir.ResourceID]*ir.Instr
+}
+
+// webTables is constructSSAWebs' scratch space, kept by the promoter
+// across intervals. Both tables are indexed by resource; only the
+// entries of resources in touched are set, and they are reset before
+// constructSSAWebs returns, so its cost stays proportional to the
+// interval rather than to the function's resource count.
+type webTables struct {
+	parent  []ir.ResourceID // union-find parent; NoResource when unset
+	webOf   []int32         // root -> 1 + index of its web; 0 when unset
+	touched []ir.ResourceID
 }
 
 // constructSSAWebs partitions the promotable resource versions
 // referenced in the interval into webs: the union-find pass of the
 // paper's Figure 3, seeded with every referenced resource and unioned
-// across each memphi's target and operands.
+// across each memphi's target and operands. Webs come out in ascending
+// order of their smallest resource.
 func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
-	parent := make(map[ir.ResourceID]ir.ResourceID)
-	var find func(r ir.ResourceID) ir.ResourceID
-	find = func(r ir.ResourceID) ir.ResourceID {
-		if parent[r] == r {
-			return r
+	t := &p.webTables
+	for len(t.parent) < len(p.f.Resources) {
+		t.parent = append(t.parent, ir.NoResource)
+		t.webOf = append(t.webOf, 0)
+	}
+	parent, webOf := t.parent, t.webOf
+	defer func() {
+		for _, r := range t.touched {
+			parent[r] = ir.NoResource
+			webOf[r] = 0
 		}
-		root := find(parent[r])
-		parent[r] = root
+		t.touched = t.touched[:0]
+	}()
+
+	find := func(r ir.ResourceID) ir.ResourceID {
+		root := r
+		for parent[root] != root {
+			root = parent[root]
+		}
+		for parent[r] != root {
+			parent[r], r = root, parent[r]
+		}
 		return root
 	}
 	add := func(r ir.ResourceID) {
-		if _, ok := parent[r]; !ok {
+		if parent[r] == ir.NoResource {
 			parent[r] = r
+			t.touched = append(t.touched, r)
 		}
 	}
+	// union keeps the smaller root, so every root is the smallest
+	// member of its set.
 	union := func(a, b ir.ResourceID) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
@@ -86,21 +118,19 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		}
 	}
 
-	// Group into webs keyed by representative.
-	websByRoot := make(map[ir.ResourceID]*web)
-	for r := range parent {
+	// Group into webs, in ascending root order.
+	slices.Sort(t.touched)
+	var webs []*web
+	for _, r := range t.touched {
 		root := find(r)
-		w := websByRoot[root]
-		if w == nil {
-			w = &web{
-				base:           p.f.BaseOf(r).ID,
-				resources:      make(map[ir.ResourceID]bool),
-				defsInInterval: make(map[ir.ResourceID]*ir.Instr),
-			}
-			websByRoot[root] = w
+		if webOf[root] == 0 {
+			webs = append(webs, &web{base: p.f.BaseOf(r).ID})
+			webOf[root] = int32(len(webs))
 		}
-		w.resources[r] = true
+		w := webs[webOf[root]-1]
+		w.resources = append(w.resources, r)
 	}
+	webOfRes := func(r ir.ResourceID) *web { return webs[webOf[find(r)]-1] }
 
 	// Collect reference sets in one scan (the paper's single pass over
 	// the interval's instructions).
@@ -111,7 +141,10 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				if !promotable(r) {
 					continue
 				}
-				w := websByRoot[find(r)]
+				w := webOfRes(r)
+				if w.defsInInterval == nil {
+					w.defsInInterval = make(map[ir.ResourceID]*ir.Instr)
+				}
 				w.defsInInterval[r] = in
 				switch {
 				case in.Op == ir.OpMemPhi:
@@ -127,7 +160,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				if !promotable(r) {
 					continue
 				}
-				w := websByRoot[find(r)]
+				w := webOfRes(r)
 				switch in.Op {
 				case ir.OpMemPhi:
 					// phi operands are web structure, not references
@@ -139,28 +172,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 			}
 		}
 	}
-
-	// Deterministic order by smallest member resource.
-	webs := make([]*web, 0, len(websByRoot))
-	for _, w := range websByRoot {
-		webs = append(webs, w)
-	}
-	sort.Slice(webs, func(i, j int) bool {
-		return minRes(webs[i].resources) < minRes(webs[j].resources)
-	})
 	return webs
-}
-
-func minRes(set map[ir.ResourceID]bool) ir.ResourceID {
-	first := true
-	var m ir.ResourceID
-	for r := range set {
-		if first || r < m {
-			m = r
-			first = false
-		}
-	}
-	return m
 }
 
 // webPlan holds the placement and profitability analysis of section 4.3:
@@ -386,13 +398,12 @@ func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
 // version 0), the smallest ID should several qualify. NoResource if the
 // web has none.
 func findLiveIn(w *web) ir.ResourceID {
-	liveIn := ir.NoResource
-	for r := range w.resources {
-		if _, inside := w.defsInInterval[r]; !inside && (liveIn == ir.NoResource || r < liveIn) {
-			liveIn = r
+	for _, r := range w.resources {
+		if _, inside := w.defsInInterval[r]; !inside {
+			return r
 		}
 	}
-	return liveIn
+	return ir.NoResource
 }
 
 // liveOutResources reports which of the exits' reaching versions —
@@ -426,7 +437,7 @@ func (p *promoter) reachingWebDefAt(iv *cfg.Interval, w *web, blk *ir.Block) ir.
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			for _, d := range b.Instrs[i].MemDefs {
 				if p.f.BaseOf(d.Res).ID == w.base {
-					if w.resources[d.Res] && w.defsInInterval[d.Res] != nil {
+					if w.defsInInterval[d.Res] != nil {
 						return d.Res
 					}
 					return ir.NoResource

@@ -172,15 +172,15 @@ type bcCode struct {
 	numRegs  int32
 	frameLen int32 // numRegs + len(consts) + 1 scratch slot
 
-	slotCount int   // len(f.Slots) at compile, for staleness checks
-	nCalls    int   // call sites, numbering each bcCall's link slot
+	slotCount int // len(f.Slots) at compile, for staleness checks
+	nCalls    int // call sites, numbering each bcCall's link slot
 
 	// Cold side tables, indexed from bcInstr as documented there.
 	argPool   []int32     // call arguments as frame indexes
 	callNames []string    // callee name per call site
 	traps     []error     // bcTrap payloads
 	srcs      []*ir.Instr // indexed-op IR instructions, for error text
-	frameSize int64 // memory-slot frame size (FrameLayout)
+	frameSize int64       // memory-slot frame size (FrameLayout)
 
 	entryPC       int32
 	entryID       int32
@@ -330,18 +330,21 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	// order within a block, matching the append order of pass 2.
 	phiSteps := make([]int64, f.BlockIDBound())
 	edgeBase := int32(0)
+	var ops [ir.NumOps]int64 // the block's tally by opcode, zeroed after each block
 	for _, b := range f.Blocks {
-		ops := make(map[ir.Op]int64, 8)
 		idx := 0
 		for idx < len(b.Instrs) && b.Instrs[idx].Op.IsPhi() {
-			ops[b.Instrs[idx].Op]++
-			phiSteps[b.ID]++
 			idx++
 		}
-		c.pcOf[b.ID] = int32(len(c.code.ins))
-		for i := idx; i < len(b.Instrs); i++ {
-			ops[b.Instrs[i].Op]++
+		phiSteps[b.ID] = int64(idx)
+		distinct := 0
+		for _, in := range b.Instrs {
+			if ops[in.Op] == 0 {
+				distinct++
+			}
+			ops[in.Op]++
 		}
+		c.pcOf[b.ID] = int32(len(c.code.ins))
 		c.emitBody(b, idx, edgeBase, globalBase)
 		if b.Term() == nil {
 			// The legacy interpreter spins forever re-entering an
@@ -349,12 +352,13 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			// ever runs. Trap deterministically instead.
 			c.emitTrap(fmt.Errorf("interp: block %v has no terminator in %s", b, f.Name))
 		}
-		tally := make([]opCount, 0, len(ops))
-		for _, op := range opOrder {
-			if n := ops[op]; n != 0 {
-				tally = append(tally, opCount{op: op, n: n})
+		tally := make([]opCount, 0, distinct)
+		for op, n := range ops {
+			if n != 0 {
+				tally = append(tally, opCount{op: ir.Op(op), n: n})
 			}
 		}
+		clear(ops[:])
 		c.code.blockOps[b.ID] = tally
 		edgeBase += int32(len(b.Succs))
 	}
@@ -396,15 +400,6 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	}
 	return c.code
 }
-
-// opOrder fixes a deterministic tally order (map iteration is not).
-var opOrder = func() []ir.Op {
-	ops := make([]ir.Op, ir.NumOps)
-	for i := range ops {
-		ops[i] = ir.Op(i)
-	}
-	return ops
-}()
 
 func (c *compiler) emit(in bcInstr) {
 	c.code.ins = append(c.code.ins, in)

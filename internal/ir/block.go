@@ -71,6 +71,19 @@ func (b *Block) InsertPhi(phi *Instr) {
 	b.insertAt(phi, 0)
 }
 
+// PrependPhis inserts phis, in the given order, at the start of the
+// block's phi prefix: the block InsertPhi would leave after inserting
+// them one at a time in reverse order, for one copy of the block.
+func (b *Block) PrependPhis(phis []*Instr) {
+	for _, phi := range phis {
+		if !phi.Op.IsPhi() {
+			panic("ir: PrependPhis with non-phi instruction")
+		}
+		phi.Parent = b
+	}
+	b.Instrs = append(phis[:len(phis):len(phis)], b.Instrs...)
+}
+
 // InsertAfterPhis inserts in after the block's phi prefix.
 func (b *Block) InsertAfterPhis(in *Instr) {
 	i := 0
@@ -93,6 +106,35 @@ func (b *Block) Remove(in *Instr) {
 	copy(b.Instrs[i:], b.Instrs[i+1:])
 	b.Instrs = b.Instrs[:len(b.Instrs)-1]
 	in.Parent = nil
+}
+
+// RemoveIf deletes every instruction for which dead reports true, in
+// one in-place pass that keeps the survivors' order, and returns how
+// many it deleted. dead is called once per instruction, in block order.
+// Removing many instructions this way costs one scan of the block,
+// where Remove per instruction costs a scan each.
+func (b *Block) RemoveIf(dead func(*Instr) bool) int {
+	// Survivors before the first deletion stay where they are.
+	i := 0
+	for i < len(b.Instrs) && !dead(b.Instrs[i]) {
+		i++
+	}
+	if i == len(b.Instrs) {
+		return 0
+	}
+	b.Instrs[i].Parent = nil
+	kept := b.Instrs[:i]
+	for _, in := range b.Instrs[i+1:] {
+		if dead(in) {
+			in.Parent = nil
+			continue
+		}
+		kept = append(kept, in)
+	}
+	n := len(b.Instrs) - len(kept)
+	clear(b.Instrs[len(kept):])
+	b.Instrs = kept
+	return n
 }
 
 func (b *Block) indexOf(in *Instr) int {

@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"maps"
 	"slices"
 )
 
@@ -58,9 +57,7 @@ func (f *Function) cloneWith(globals map[*Global]*Global) *Function {
 		nextBlock:  f.nextBlock,
 		cfgVersion: f.cfgVersion,
 	}
-	if f.maxVer != nil {
-		nf.maxVer = maps.Clone(f.maxVer)
-	}
+	nf.maxVer = slices.Clone(f.maxVer)
 
 	slotMap := make(map[*Slot]*Slot, len(f.Slots))
 	for _, s := range f.Slots {
@@ -86,42 +83,82 @@ func (f *Function) cloneWith(globals map[*Global]*Global) *Function {
 		return l
 	}
 
+	// Resources, blocks and instructions are copied into one backing
+	// array per kind, and operand lists into one per element type: a
+	// handful of allocations per clone instead of several per
+	// instruction. Operand slices are capped at their length, so an
+	// append reallocates instead of running into its neighbour.
+	resources := make([]Resource, len(f.Resources))
 	nf.Resources = make([]*Resource, len(f.Resources))
 	for i, r := range f.Resources {
-		nr := *r
-		nr.Loc = remapLoc(nr.Loc)
-		nf.Resources[i] = &nr
+		resources[i] = *r
+		resources[i].Loc = remapLoc(r.Loc)
+		nf.Resources[i] = &resources[i]
 	}
 
-	blockMap := make(map[*Block]*Block, len(f.Blocks))
+	ninstrs, nvals, nrefs := 0, 0, 0
+	for _, b := range f.Blocks {
+		ninstrs += len(b.Instrs)
+		for _, in := range b.Instrs {
+			nvals += len(in.Args)
+			nrefs += len(in.MemDefs) + len(in.MemUses)
+		}
+	}
+	instrs := make([]Instr, ninstrs)
+	vals := make([]Value, nvals)
+	refs := make([]MemRef, nrefs)
+	cloneVals := func(s []Value) []Value {
+		if s == nil {
+			return nil
+		}
+		c := vals[:len(s):len(s)]
+		vals = vals[len(s):]
+		copy(c, s)
+		return c
+	}
+	cloneRefs := func(s []MemRef) []MemRef {
+		if s == nil {
+			return nil
+		}
+		c := refs[:len(s):len(s)]
+		refs = refs[len(s):]
+		copy(c, s)
+		return c
+	}
+
+	blocks := make([]Block, len(f.Blocks))
+	byID := make([]*Block, f.nextBlock)
 	nf.Blocks = make([]*Block, len(f.Blocks))
 	for i, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Func: nf}
-		blockMap[b] = nb
-		nf.Blocks[i] = nb
+		blocks[i] = Block{ID: b.ID, Func: nf}
+		byID[b.ID] = &blocks[i]
+		nf.Blocks[i] = &blocks[i]
 	}
-	for _, b := range f.Blocks {
-		nb := blockMap[b]
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
 		nb.Preds = make([]*Block, len(b.Preds))
 		for i, p := range b.Preds {
-			nb.Preds[i] = blockMap[p]
+			nb.Preds[i] = byID[p.ID]
 		}
 		nb.Succs = make([]*Block, len(b.Succs))
 		for i, s := range b.Succs {
-			nb.Succs[i] = blockMap[s]
+			nb.Succs[i] = byID[s.ID]
 		}
 		nb.Instrs = make([]*Instr, len(b.Instrs))
 		for i, in := range b.Instrs {
-			nb.Instrs[i] = &Instr{
+			c := &instrs[0]
+			instrs = instrs[1:]
+			*c = Instr{
 				Op:      in.Op,
 				Dst:     in.Dst,
-				Args:    slices.Clone(in.Args),
+				Args:    cloneVals(in.Args),
 				Callee:  in.Callee,
 				Loc:     remapLoc(in.Loc),
-				MemDefs: slices.Clone(in.MemDefs),
-				MemUses: slices.Clone(in.MemUses),
+				MemDefs: cloneRefs(in.MemDefs),
+				MemUses: cloneRefs(in.MemUses),
 				Parent:  nb,
 			}
+			nb.Instrs[i] = c
 		}
 	}
 	return nf

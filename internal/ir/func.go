@@ -16,7 +16,7 @@ type Function struct {
 	NumRegs   int
 	regNames  []string
 	nextBlock BlockID
-	maxVer    map[ResourceID]int // highest version per base resource
+	maxVer    []int // by base resource: 1 + its highest version, 0 if not yet known
 
 	// cfgVersion counts CFG shape mutations: block additions and
 	// removals, edge splits, and any rewiring of Preds/Succs. Analyses
@@ -172,11 +172,12 @@ func (f *Function) NewVersion(orig ResourceID) *Resource {
 	if !base.IsBase() {
 		base = f.Resources[base.Orig]
 	}
-	if f.maxVer == nil {
-		f.maxVer = make(map[ResourceID]int)
+	if int(base.ID) >= len(f.maxVer) {
+		f.maxVer = append(f.maxVer, make([]int, len(f.Resources)-len(f.maxVer))...)
 	}
-	ver, ok := f.maxVer[base.ID]
-	if !ok {
+	ver := f.maxVer[base.ID] - 1
+	if ver < 0 {
+		ver = 0
 		for _, r := range f.Resources {
 			if r.Orig == base.ID && r.Version > ver {
 				ver = r.Version
@@ -191,7 +192,7 @@ func (f *Function) NewVersion(orig ResourceID) *Resource {
 		Version: ver + 1,
 		Loc:     base.Loc,
 	}
-	f.maxVer[base.ID] = ver + 1
+	f.maxVer[base.ID] = nr.Version + 1
 	f.Resources = append(f.Resources, nr)
 	return nr
 }

@@ -167,6 +167,26 @@ func TestInsertHelpers(t *testing.T) {
 	if len(b.Instrs) != 4 || mid.Parent != nil {
 		t.Fatalf("Remove failed: %d instrs, parent=%v", len(b.Instrs), mid.Parent)
 	}
+
+	p1, p2 := NewInstr(OpPhi, f.NewReg("")), NewInstr(OpMemPhi, NoReg)
+	b.PrependPhis([]*Instr{p1, p2})
+	if b.Instrs[0] != p1 || b.Instrs[1] != p2 || b.Instrs[2] != phi || p1.Parent != b || p2.Parent != b {
+		t.Fatalf("PrependPhis: block starts %s %s %s", b.Instrs[0].Op, b.Instrs[1].Op, b.Instrs[2].Op)
+	}
+	if n := b.RemoveIf(func(*Instr) bool { return false }); n != 0 || len(b.Instrs) != 6 {
+		t.Fatalf("RemoveIf of nothing removed %d, left %d", n, len(b.Instrs))
+	}
+	if n := b.RemoveIf(func(in *Instr) bool { return in.Op.IsPhi() }); n != 3 {
+		t.Fatalf("RemoveIf removed %d phis, want 3", n)
+	}
+	for i, in := range []*Instr{after, pre, term} {
+		if b.Instrs[i] != in {
+			t.Fatalf("after RemoveIf, instr %d = %s, want %s", i, b.Instrs[i].Op, in.Op)
+		}
+	}
+	if len(b.Instrs) != 3 || phi.Parent != nil || p1.Parent != nil || p2.Parent != nil {
+		t.Fatalf("RemoveIf left %d instrs or a removed phi's parent set", len(b.Instrs))
+	}
 }
 
 func TestResourceVersioning(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -119,15 +120,21 @@ func checkGolden(t *testing.T, name string, got, want goldenDigest) {
 // TestGoldenPromotion pins SHA-256 digests of the transformed IR and the
 // Outcome JSON. Any change to what promotion emits — phi placement,
 // web order, register numbering, statistics — shows up here; a pure
-// speed-up of the promoter must leave every digest unchanged.
+// speed-up of the promoter must leave every digest unchanged. The large
+// programs run at one worker and at four, so the worker pool and its
+// largest-first dispatch order are held to the same digests whatever
+// the machine's CPU count.
 func TestGoldenPromotion(t *testing.T) {
 	for i, want := range goldenLarge {
 		w, err := workload.SizedCorpusEntry(7, i, "large")
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := pipeline.Options{Lang: w.Lang, StaticProfile: true, SkipMeasurement: true}
-		checkGolden(t, w.Name, digestOutcome(t, w.Name, w.Src, opts), want)
+		for _, workers := range []int{1, 4} {
+			opts := pipeline.Options{Lang: w.Lang, StaticProfile: true, SkipMeasurement: true, Workers: workers}
+			name := fmt.Sprintf("%s/workers=%d", w.Name, workers)
+			checkGolden(t, name, digestOutcome(t, name, w.Src, opts), want)
+		}
 	}
 	progs := append(workload.Suite(), workload.ImportedSuite()...)
 	if len(progs) != len(goldenSuite) {

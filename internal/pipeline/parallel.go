@@ -51,9 +51,13 @@ func (r *runner) transformAll(after *ir.Program, forests map[string]*cfg.Forest,
 		return nil
 	}
 
-	// Shard function indexes across the pool. Errors (FailFast mode
-	// only) are collected per index so the returned error is the one
-	// the sequential run would have hit first.
+	// Shard function indexes across the pool, largest function first.
+	// One function usually dominates a program's transform time (a
+	// generated program's main, declared last); starting it at once lets
+	// the smaller functions overlap with it instead of delaying it, so
+	// the run's wall time approaches that one function's chain. Errors
+	// (FailFast mode only) are collected per index so the returned error
+	// is the one the sequential run would have hit first.
 	errs := make([]error, len(after.Funcs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -67,7 +71,7 @@ func (r *runner) transformAll(after *ir.Program, forests map[string]*cfg.Forest,
 			}
 		}()
 	}
-	for i := range after.Funcs {
+	for _, i := range largestFirst(after.Funcs) {
 		jobs <- i
 	}
 	close(jobs)
@@ -78,6 +82,21 @@ func (r *runner) transformAll(after *ir.Program, forests map[string]*cfg.Forest,
 		}
 	}
 	return nil
+}
+
+// largestFirst returns the indexes of funcs in descending instruction
+// count, ties in declaration order.
+func largestFirst(funcs []*ir.Function) []int {
+	size := make([]int, len(funcs))
+	order := make([]int, len(funcs))
+	for i, f := range funcs {
+		for _, b := range f.Blocks {
+			size[i] += len(b.Instrs)
+		}
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+	return order
 }
 
 // finish canonicalizes the outcome so that it is bit-identical across

@@ -12,6 +12,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -46,19 +47,38 @@ type builder struct {
 	dom *cfg.DomTree
 	df  cfg.DomFrontiers
 
-	// regStacks[orig] is the renaming stack of the pre-SSA register
-	// orig; resStacks[base] is the version stack of base resource base.
-	regStacks map[ir.RegID][]ir.RegID
-	resStacks map[ir.ResourceID][]ir.ResourceID
+	// Registers numbered below nregs are the pre-SSA names; renaming
+	// allocates every new one above them, and origReg[r-nregs] is the
+	// pre-SSA register that new register r renames. An inserted phi
+	// keeps its original name until renamed, so a register phi merges
+	// its Dst while that is below nregs and origReg[Dst-nregs] after; a
+	// memphi merges the base of its target.
+	nregs   int
+	origReg []ir.RegID
 
-	// phiOrig records, for inserted phis, which original name they
-	// merge, so operand filling and renaming know what to push.
-	phiOrigReg map[*ir.Instr]ir.RegID
-	phiOrigRes map[*ir.Instr]ir.ResourceID
+	// regTop[orig] is the current SSA name of the pre-SSA register orig
+	// (NoReg before its first definition on the dominator-tree path);
+	// resTop[base] is the current version of base resource base (base
+	// itself, version 0, before any). Renaming a block overwrites
+	// entries and logs the old values in undo, restoring them when the
+	// block's subtree is done: the renaming stacks of the classic
+	// algorithm, with one slot per name.
+	regTop []ir.RegID
+	resTop []ir.ResourceID
+	undo   []undoEntry
+}
+
+// undoEntry restores regTop[reg] (res == NoResource) or resTop[res] to
+// prev.
+type undoEntry struct {
+	reg  ir.RegID
+	res  ir.ResourceID
+	prev int32
 }
 
 func (b *builder) run() error {
 	f := b.f
+	b.nregs = f.NumRegs
 
 	// Collect definition sites, densely indexed by register and resource
 	// number so the phi-placement loops below iterate in ID order with no
@@ -77,9 +97,10 @@ func (b *builder) run() error {
 	}
 
 	// Place phis at iterated dominance frontiers. Spurious phis merging
-	// a single reaching definition are cleaned by PruneTrivialPhis.
-	b.phiOrigReg = make(map[*ir.Instr]ir.RegID)
-	b.phiOrigRes = make(map[*ir.Instr]ir.ResourceID)
+	// a single reaching definition are cleaned by PruneTrivialPhis. Each
+	// block's phis are collected in placement order and prepended in
+	// reverse, as inserting each at the front would leave them.
+	placed := make([][]*ir.Instr, f.BlockIDBound())
 	for r := 0; r < f.NumRegs; r++ {
 		reg := ir.RegID(r)
 		defs := regDefs[reg]
@@ -88,8 +109,7 @@ func (b *builder) run() error {
 		}
 		for _, jb := range cfg.IteratedDF(b.df, defs) {
 			phi := ir.NewInstr(ir.OpPhi, reg, make([]ir.Value, len(jb.Preds))...)
-			jb.InsertPhi(phi)
-			b.phiOrigReg[phi] = reg
+			placed[jb.ID] = append(placed[jb.ID], phi)
 		}
 	}
 	for id := 0; id < len(f.Resources); id++ {
@@ -105,22 +125,30 @@ func (b *builder) run() error {
 			for i := range phi.MemUses {
 				phi.MemUses[i] = ir.MemRef{Res: ir.NoResource}
 			}
-			jb.InsertPhi(phi)
-			b.phiOrigRes[phi] = base
+			placed[jb.ID] = append(placed[jb.ID], phi)
+		}
+	}
+	for _, blk := range f.Blocks {
+		if phis := placed[blk.ID]; len(phis) > 0 {
+			slices.Reverse(phis)
+			blk.PrependPhis(phis)
 		}
 	}
 
 	// Rename along the dominator tree.
-	b.regStacks = make(map[ir.RegID][]ir.RegID)
-	b.resStacks = make(map[ir.ResourceID][]ir.ResourceID)
+	b.regTop = make([]ir.RegID, b.nregs)
+	for i := range b.regTop {
+		b.regTop[i] = ir.NoReg
+	}
 	for _, p := range f.Params {
 		// Parameters are their own first SSA version.
-		b.regStacks[p] = []ir.RegID{p}
+		b.regTop[p] = p
 	}
-	if err := b.rename(f.Entry()); err != nil {
-		return err
+	b.resTop = make([]ir.ResourceID, len(f.Resources))
+	for i := range b.resTop {
+		b.resTop[i] = ir.ResourceID(i) // version 0: live-in value
 	}
-	return nil
+	return b.rename(f.Entry())
 }
 
 func appendUnique(bs []*ir.Block, b *ir.Block) []*ir.Block {
@@ -132,49 +160,49 @@ func appendUnique(bs []*ir.Block, b *ir.Block) []*ir.Block {
 	return append(bs, b)
 }
 
-func (b *builder) topReg(orig ir.RegID) (ir.RegID, bool) {
-	st := b.regStacks[orig]
-	if len(st) == 0 {
-		return ir.NoReg, false
-	}
-	return st[len(st)-1], true
+// pushReg makes name the current SSA name of orig.
+func (b *builder) pushReg(orig, name ir.RegID) {
+	b.undo = append(b.undo, undoEntry{reg: orig, res: ir.NoResource, prev: int32(b.regTop[orig])})
+	b.regTop[orig] = name
 }
 
-func (b *builder) topRes(base ir.ResourceID) ir.ResourceID {
-	st := b.resStacks[base]
-	if len(st) == 0 {
-		return base // version 0: live-in value
+// pushRes makes ver the current version of base.
+func (b *builder) pushRes(base, ver ir.ResourceID) {
+	b.undo = append(b.undo, undoEntry{res: base, prev: int32(b.resTop[base])})
+	b.resTop[base] = ver
+}
+
+// phiOrigReg returns the pre-SSA register an inserted phi merges.
+func (b *builder) phiOrigReg(phi *ir.Instr) ir.RegID {
+	if int(phi.Dst) < b.nregs {
+		return phi.Dst // not renamed yet
 	}
-	return st[len(st)-1]
+	return b.origReg[int(phi.Dst)-b.nregs]
+}
+
+// newReg allocates the SSA name for a definition of orig.
+func (b *builder) newReg(orig ir.RegID) ir.RegID {
+	nr := b.f.NewReg(b.f.RegName(orig))
+	b.origReg = append(b.origReg, orig)
+	return nr
 }
 
 func (b *builder) rename(blk *ir.Block) error {
 	f := b.f
-	var pushedRegs []ir.RegID
-	var pushedRes []ir.ResourceID
-
-	pushReg := func(orig ir.RegID, name ir.RegID) {
-		b.regStacks[orig] = append(b.regStacks[orig], name)
-		pushedRegs = append(pushedRegs, orig)
-	}
-	pushRes := func(base ir.ResourceID, ver ir.ResourceID) {
-		b.resStacks[base] = append(b.resStacks[base], ver)
-		pushedRes = append(pushedRes, base)
-	}
+	mark := len(b.undo)
 
 	for _, in := range blk.Instrs {
 		switch in.Op {
 		case ir.OpPhi:
-			orig := b.phiOrigReg[in]
-			nr := f.NewReg(f.RegName(orig))
-			in.Dst = nr
-			pushReg(orig, nr)
+			orig := in.Dst
+			in.Dst = b.newReg(orig)
+			b.pushReg(orig, in.Dst)
 			continue
 		case ir.OpMemPhi:
-			base := b.phiOrigRes[in]
+			base := in.MemDefs[0].Res
 			nv := f.NewVersion(base)
 			in.MemDefs[0].Res = nv.ID
-			pushRes(base, nv.ID)
+			b.pushRes(base, nv.ID)
 			continue
 		}
 		// Ordinary instruction: rewrite register uses.
@@ -182,8 +210,8 @@ func (b *builder) rename(blk *ir.Block) error {
 			if a.IsConst() {
 				continue
 			}
-			cur, ok := b.topReg(a.Reg())
-			if !ok {
+			cur := b.regTop[a.Reg()]
+			if cur == ir.NoReg {
 				return fmt.Errorf("ssa: %s: register r%d used before definition in %v",
 					f.Name, a.Reg(), blk)
 			}
@@ -191,21 +219,20 @@ func (b *builder) rename(blk *ir.Block) error {
 		}
 		// Rewrite memory uses to current versions.
 		for i := range in.MemUses {
-			in.MemUses[i].Res = b.topRes(in.MemUses[i].Res)
+			in.MemUses[i].Res = b.resTop[in.MemUses[i].Res]
 		}
 		// Rewrite register definition.
 		if in.HasDst() {
 			orig := in.Dst
-			nr := f.NewReg(f.RegName(orig))
-			in.Dst = nr
-			pushReg(orig, nr)
+			in.Dst = b.newReg(orig)
+			b.pushReg(orig, in.Dst)
 		}
 		// Rewrite memory definitions to fresh versions.
 		for i := range in.MemDefs {
 			base := in.MemDefs[i].Res
 			nv := f.NewVersion(base)
 			in.MemDefs[i].Res = nv.ID
-			pushRes(f.BaseOf(nv.ID).ID, nv.ID)
+			b.pushRes(nv.Orig, nv.ID)
 		}
 	}
 
@@ -215,11 +242,7 @@ func (b *builder) rename(blk *ir.Block) error {
 		for _, phi := range s.Phis() {
 			switch phi.Op {
 			case ir.OpPhi:
-				orig, ok := b.phiOrigReg[phi]
-				if !ok {
-					continue // pre-existing phi (none expected)
-				}
-				if cur, ok := b.topReg(orig); ok {
+				if cur := b.regTop[b.phiOrigReg(phi)]; cur != ir.NoReg {
 					phi.Args[pi] = ir.RegVal(cur)
 				} else {
 					// The merged variable is undefined along this path;
@@ -228,11 +251,7 @@ func (b *builder) rename(blk *ir.Block) error {
 					phi.Args[pi] = ir.ConstVal(0)
 				}
 			case ir.OpMemPhi:
-				base, ok := b.phiOrigRes[phi]
-				if !ok {
-					continue
-				}
-				phi.MemUses[pi] = ir.MemRef{Res: b.topRes(base)}
+				phi.MemUses[pi] = ir.MemRef{Res: b.resTop[f.BaseOf(phi.MemDefs[0].Res).ID]}
 			}
 		}
 	}
@@ -243,13 +262,14 @@ func (b *builder) rename(blk *ir.Block) error {
 		}
 	}
 
-	for _, orig := range pushedRegs {
-		st := b.regStacks[orig]
-		b.regStacks[orig] = st[:len(st)-1]
-	}
-	for _, base := range pushedRes {
-		st := b.resStacks[base]
-		b.resStacks[base] = st[:len(st)-1]
+	for len(b.undo) > mark {
+		e := b.undo[len(b.undo)-1]
+		b.undo = b.undo[:len(b.undo)-1]
+		if e.res == ir.NoResource {
+			b.regTop[e.reg] = ir.RegID(e.prev)
+		} else {
+			b.resTop[e.res] = ir.ResourceID(e.prev)
+		}
 	}
 	return nil
 }

@@ -39,9 +39,7 @@ func Destruct(f *ir.Function) {
 			}
 			emitParallelCopy(f, pred, dsts, srcs)
 		}
-		for _, phi := range phis {
-			b.Remove(phi)
-		}
+		b.RemoveIf(func(in *ir.Instr) bool { return in.Op.IsPhi() })
 	}
 
 	// Collapse memory references to base resources.

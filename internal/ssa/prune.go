@@ -10,26 +10,49 @@ import "repro/internal/ir"
 // from pessimistic phi placement; keeping them would distort the
 // promotion algorithm's SSA webs, so Build always prunes.
 func PruneTrivialPhis(f *ir.Function) int {
+	// Replacement tables indexed by register and resource: regRepl[r]
+	// is valid where hasReg[r]; resRepl[r] is NoResource where unset.
+	// Pruning allocates no registers or resources, so they are sized
+	// once, when the first trivial phi turns up.
+	var regRepl []ir.Value
+	var hasReg []bool
+	var resRepl []ir.ResourceID
+	tables := func() {
+		if hasReg != nil {
+			return
+		}
+		regRepl = make([]ir.Value, f.NumRegs)
+		hasReg = make([]bool, f.NumRegs)
+		resRepl = make([]ir.ResourceID, len(f.Resources))
+		for i := range resRepl {
+			resRepl[i] = ir.NoResource
+		}
+	}
+	var dead []*ir.Instr
+	var deadIn []*ir.Block // blocks holding some dead phi, once each
 	removed := 0
 	for {
-		regRepl := make(map[ir.RegID]ir.Value)
-		resRepl := make(map[ir.ResourceID]ir.ResourceID)
-		var dead []*ir.Instr
-
 		for _, b := range f.Blocks {
+			n := len(dead)
 			for _, phi := range b.Phis() {
 				switch phi.Op {
 				case ir.OpPhi:
 					if v, ok := trivialRegPhi(phi); ok {
+						tables()
 						regRepl[phi.Dst] = v
+						hasReg[phi.Dst] = true
 						dead = append(dead, phi)
 					}
 				case ir.OpMemPhi:
 					if r, ok := trivialMemPhi(phi); ok {
+						tables()
 						resRepl[phi.MemDefs[0].Res] = r
 						dead = append(dead, phi)
 					}
 				}
+			}
+			if len(dead) > n {
+				deadIn = append(deadIn, b)
 			}
 		}
 		if len(dead) == 0 {
@@ -38,45 +61,55 @@ func PruneTrivialPhis(f *ir.Function) int {
 		// Resolve replacement chains (a phi may map to another dead
 		// phi's target).
 		resolveReg := func(v ir.Value) ir.Value {
-			for !v.IsConst() {
-				next, ok := regRepl[v.Reg()]
-				if !ok {
-					return v
-				}
-				v = next
+			for !v.IsConst() && hasReg[v.Reg()] {
+				v = regRepl[v.Reg()]
 			}
 			return v
 		}
 		resolveRes := func(r ir.ResourceID) ir.ResourceID {
-			for {
-				next, ok := resRepl[r]
-				if !ok {
-					return r
-				}
-				r = next
+			for resRepl[r] != ir.NoResource {
+				r = resRepl[r]
 			}
+			return r
 		}
 
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for i, a := range in.Args {
-					if !a.IsConst() {
-						if v, ok := regRepl[a.Reg()]; ok {
-							in.Args[i] = resolveReg(v)
-						}
+					if !a.IsConst() && hasReg[a.Reg()] {
+						in.Args[i] = resolveReg(a)
 					}
 				}
 				for i := range in.MemUses {
-					if r, ok := resRepl[in.MemUses[i].Res]; ok {
+					if r := in.MemUses[i].Res; resRepl[r] != ir.NoResource {
 						in.MemUses[i].Res = resolveRes(r)
 					}
 				}
 			}
 		}
-		for _, phi := range dead {
-			phi.Parent.Remove(phi)
-			removed++
+		// Drop the dead phis, one compaction per block that has any,
+		// and reset their table entries for the next round.
+		isDead := func(in *ir.Instr) bool {
+			switch in.Op {
+			case ir.OpPhi:
+				return hasReg[in.Dst]
+			case ir.OpMemPhi:
+				return resRepl[in.MemDefs[0].Res] != ir.NoResource
+			}
+			return false
 		}
+		for _, b := range deadIn {
+			b.RemoveIf(isDead)
+		}
+		for _, phi := range dead {
+			if phi.Op == ir.OpPhi {
+				hasReg[phi.Dst] = false
+			} else {
+				resRepl[phi.MemDefs[0].Res] = ir.NoResource
+			}
+		}
+		removed += len(dead)
+		dead, deadIn = dead[:0], deadIn[:0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package ssa
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -62,6 +63,12 @@ func (s RefSite) live() bool {
 type RefIndex struct {
 	f     *ir.Function
 	sites [][]RefSite // indexed by base ResourceID
+
+	// defOf and phiDef map resource versions to defining instructions
+	// for UpdateForClonedResources. They live here, grown to the
+	// resource table, so that each update pays only for the entries it
+	// sets; it resets them before returning.
+	defOf, phiDef []*ir.Instr
 }
 
 // NewRefIndex indexes every memory reference of f in one pass.
@@ -95,17 +102,59 @@ func (x *RefIndex) forEachRef(in *ir.Instr, fn func(ir.ResourceID, RefSite)) {
 // Add records the references of in, which has just been inserted into
 // a block of f. The cost is linear in the sites of the bases it
 // references.
-func (x *RefIndex) Add(in *ir.Instr) {
-	x.forEachRef(in, func(base ir.ResourceID, site RefSite) {
-		// Insert after the sites of in's block and of the blocks before
-		// it. Dead sites keep their key, so the list stays sorted.
-		s := x.sites[base]
-		i := sort.Search(len(s), func(i int) bool { return s[i].blk > site.blk })
-		s = append(s, RefSite{})
-		copy(s[i+1:], s[i:])
-		s[i] = site
-		x.sites[base] = s
+func (x *RefIndex) Add(in *ir.Instr) { x.AddAll([]*ir.Instr{in}) }
+
+// AddAll records the references of every instruction in ins, as Add
+// would one at a time in order, with one merge per referenced base.
+func (x *RefIndex) AddAll(ins []*ir.Instr) {
+	type pending struct {
+		base ir.ResourceID
+		site RefSite
+	}
+	var add []pending
+	for _, in := range ins {
+		x.forEachRef(in, func(base ir.ResourceID, site RefSite) {
+			add = append(add, pending{base, site})
+		})
+	}
+	sort.SliceStable(add, func(i, j int) bool {
+		if add[i].base != add[j].base {
+			return add[i].base < add[j].base
+		}
+		return add[i].site.blk < add[j].site.blk
 	})
+	for len(add) > 0 {
+		base, n := add[0].base, 1
+		for n < len(add) && add[n].base == base {
+			n++
+		}
+		// Merge from the back, each new site after the sites of its
+		// block and of the blocks before it. Dead sites keep their key,
+		// so the list stays sorted.
+		s := x.sites[base]
+		i, k := len(s)-1, len(s)+n-1
+		s = slices.Grow(s, n)[:len(s)+n]
+		for j := n - 1; j >= 0; k-- {
+			if i >= 0 && s[i].blk > add[j].site.blk {
+				s[k] = s[i]
+				i--
+			} else {
+				s[k] = add[j].site
+				j--
+			}
+		}
+		x.sites[base] = s
+		add = add[n:]
+	}
+}
+
+// defTables returns defOf and phiDef grown to f's resource table.
+func (x *RefIndex) defTables() (defOf, phiDef []*ir.Instr) {
+	if n := len(x.f.Resources); len(x.defOf) < n {
+		x.defOf = append(x.defOf, make([]*ir.Instr, n-len(x.defOf))...)
+		x.phiDef = append(x.phiDef, make([]*ir.Instr, n-len(x.phiDef))...)
+	}
+	return x.defOf, x.phiDef
 }
 
 // Sites returns the reference sites of base in block order, after
@@ -113,8 +162,17 @@ func (x *RefIndex) Add(in *ir.Instr) {
 // slice aliases the index: it is valid until the next Add or Sites.
 func (x *RefIndex) Sites(base ir.ResourceID) []RefSite {
 	s := x.sites[base]
-	kept := s[:0]
-	for _, site := range s {
+	// Compact from the first dead site on; a list with none is left
+	// untouched.
+	n := 0
+	for n < len(s) && s[n].live() {
+		n++
+	}
+	if n == len(s) {
+		return s
+	}
+	kept := s[:n]
+	for _, site := range s[n+1:] {
 		if site.live() {
 			kept = append(kept, site)
 		}

@@ -85,7 +85,12 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	// Sites come in block order, so defBlocks lists blocks in f.Blocks
 	// order, which fixes the order of IteratedDF's result and hence the
 	// numbering of the new versions.
-	defOf := make(map[ir.ResourceID]*ir.Instr, len(oldRes)+len(cloned))
+	// defOf[r] is the definition of r, for r in all; every entry set is
+	// reset on return.
+	defOf, _ := refs.defTables()
+	defer func() {
+		u.all.ForEach(func(r int) { refs.defOf[r] = nil })
+	}()
 	var defBlocks []*ir.Block
 	for _, site := range refs.Sites(base) {
 		if !site.Def || !u.all.Has(int(site.Res())) {
@@ -118,10 +123,11 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			phi.MemUses[i] = ir.MemRef{Res: base} // placeholder until filled
 		}
 		jb.InsertPhi(phi)
-		refs.Add(phi)
 		newPhis = append(newPhis, phi)
 		u.defBlocks.Set(int(jb.ID))
 	}
+	refs.AddAll(newPhis)
+	defOf, phiDef := refs.defTables()
 	u.all.Grow(len(f.Resources))
 	for r := firstNew; int(r) < len(f.Resources); r++ {
 		u.all.Set(int(r))
@@ -187,7 +193,6 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	// family (for example an enclosing loop's header phi) legitimately
 	// keep cloned definitions alive — but no other base's: their
 	// versions are never operands of the base's phis.
-	phiDef := make(map[ir.ResourceID]*ir.Instr)
 	liveRes := bitset.NewDense(len(f.Resources))
 	var resWork []ir.ResourceID
 	markRes := func(r ir.ResourceID) {
@@ -196,7 +201,8 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			resWork = append(resWork, r)
 		}
 	}
-	for _, site := range refs.Sites(base) {
+	sites := refs.Sites(base)
+	for _, site := range sites {
 		switch {
 		case site.In.Op != ir.OpMemPhi:
 			if !site.Def {
@@ -206,6 +212,13 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			phiDef[site.Res()] = site.In
 		}
 	}
+	defer func() {
+		for _, site := range sites {
+			if site.Def && site.In.Op == ir.OpMemPhi {
+				phiDef[site.Res()] = nil
+			}
+		}
+	}()
 	for len(resWork) > 0 {
 		r := resWork[len(resWork)-1]
 		resWork = resWork[:len(resWork)-1]
