@@ -22,9 +22,11 @@ race:
 test-par:
 	$(GO) test -race -run 'Parallel|Corpus|DeriveSeed|Timings' ./internal/pipeline/... ./internal/workload/...
 
-# Repo determinism lint: no wall-clock or unseeded randomness in the
-# deterministic packages (internal/lint documents the rules).
+# Repo lint: every Go file gofmt-clean, and no wall-clock or unseeded
+# randomness in the deterministic packages (internal/lint documents the
+# rules).
 lint:
+	@out=$$(gofmt -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/rplint -root .
 
 # Short fuzzing pass over every native fuzz target. Each target runs
@@ -94,7 +96,7 @@ bench-pipeline:
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/ ./internal/core/ ./internal/opt/ ./internal/pipeline/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/source/ ./internal/cfg/ ./internal/ssa/ ./internal/interp/ ./internal/core/ ./internal/opt/ ./internal/pipeline/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

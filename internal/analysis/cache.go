@@ -52,6 +52,15 @@ func Kinds() []Kind {
 	return []Kind{KindDom, KindDF, KindIntervals, KindRPO, KindCode, KindLiveness, KindPressure}
 }
 
+// Build is one entry of a function's build log: a fresh build of one
+// analysis kind. Version is the CFG version it ran at. Fingerprint is
+// the instruction fingerprint the content-keyed kinds (code, liveness,
+// pressure) were built for, and zero for the CFG analyses, which
+// depend on the block graph alone.
+type Build struct {
+	Version, Fingerprint uint64
+}
+
 // Cache memoizes CFG analyses per function, keyed on the CFG version.
 type Cache struct {
 	// Paranoid makes every cache hit revalidate against a fresh rebuild
@@ -64,9 +73,9 @@ type Cache struct {
 }
 
 // entry is the cache line of one function. Each analysis slot remembers
-// the CFG version it was built at; builds[kind] lists every version a
-// fresh build happened at, so tests can assert at most one build per
-// version per kind.
+// the CFG version it was built at; builds[kind] logs every fresh build,
+// so tests can assert at most one build per version for the CFG
+// analyses and per (version, fingerprint) for the content-keyed kinds.
 type entry struct {
 	mu sync.Mutex
 
@@ -95,7 +104,7 @@ type entry struct {
 	live     *liveness.Info
 	pressure *liveness.Pressure
 
-	builds map[Kind][]uint64
+	builds map[Kind][]Build
 }
 
 // New returns an empty cache.
@@ -108,7 +117,7 @@ func (c *Cache) entryFor(f *ir.Function) *entry {
 	defer c.mu.Unlock()
 	e := c.entries[f]
 	if e == nil {
-		e = &entry{builds: make(map[Kind][]uint64)}
+		e = &entry{builds: make(map[Kind][]Build)}
 		c.entries[f] = e
 	}
 	return e
@@ -129,7 +138,7 @@ func (c *Cache) Dom(f *ir.Function) *cfg.DomTree {
 	}
 	e.dom = cfg.BuildDomTree(f)
 	e.domVersion = v
-	e.builds[KindDom] = append(e.builds[KindDom], v)
+	e.builds[KindDom] = append(e.builds[KindDom], Build{Version: v})
 	return e.dom
 }
 
@@ -150,7 +159,7 @@ func (c *Cache) DF(f *ir.Function) cfg.DomFrontiers {
 	e.df = cfg.BuildDomFrontiers(dom)
 	e.dfValid = true
 	e.dfVersion = v
-	e.builds[KindDF] = append(e.builds[KindDF], v)
+	e.builds[KindDF] = append(e.builds[KindDF], Build{Version: v})
 	return e.df
 }
 
@@ -168,7 +177,7 @@ func (c *Cache) Intervals(f *ir.Function) *cfg.Forest {
 	}
 	e.intervals = cfg.BuildIntervals(f)
 	e.ivVersion = v
-	e.builds[KindIntervals] = append(e.builds[KindIntervals], v)
+	e.builds[KindIntervals] = append(e.builds[KindIntervals], Build{Version: v})
 	return e.intervals
 }
 
@@ -183,7 +192,7 @@ func (c *Cache) RPO(f *ir.Function) []*ir.Block {
 	}
 	e.rpo = cfg.ReversePostorder(f)
 	e.rpoVersion = v
-	e.builds[KindRPO] = append(e.builds[KindRPO], v)
+	e.builds[KindRPO] = append(e.builds[KindRPO], Build{Version: v})
 	return e.rpo
 }
 
@@ -216,15 +225,15 @@ func (c *Cache) CompiledCode(f *ir.Function) (any, bool) {
 }
 
 // PutCompiledCode stores freshly compiled interpreter bytecode for f
-// and logs the build at the current CFG version. Implements
-// interp.CodeCache.
-func (c *Cache) PutCompiledCode(f *ir.Function, code any) {
+// and logs the build at the current CFG version and the code's
+// instruction fingerprint. Implements interp.CodeCache.
+func (c *Cache) PutCompiledCode(f *ir.Function, code any, fingerprint uint64) {
 	e := c.entryFor(f)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.code = code
 	e.codeValid = true
-	e.builds[KindCode] = append(e.builds[KindCode], f.CFGVersion())
+	e.builds[KindCode] = append(e.builds[KindCode], Build{Version: f.CFGVersion(), Fingerprint: fingerprint})
 }
 
 // Liveness returns the static liveness analysis of f, rebuilding when
@@ -244,7 +253,7 @@ func (c *Cache) Liveness(f *ir.Function) *liveness.Info {
 		return e.live
 	}
 	e.live = liveness.Compute(f)
-	e.builds[KindLiveness] = append(e.builds[KindLiveness], v)
+	e.builds[KindLiveness] = append(e.builds[KindLiveness], Build{Version: v, Fingerprint: fp})
 	return e.live
 }
 
@@ -264,12 +273,12 @@ func (c *Cache) Pressure(f *ir.Function) *liveness.Pressure {
 		return e.pressure
 	}
 	e.pressure = liveness.ComputePressure(info, forest)
-	e.builds[KindPressure] = append(e.builds[KindPressure], info.Version)
+	e.builds[KindPressure] = append(e.builds[KindPressure], Build{Version: info.Version, Fingerprint: info.Fingerprint})
 	return e.pressure
 }
 
 // Invalidate drops every cached analysis of f. The pipeline calls it
-// when a function object is replaced wholesale (snapshot rollback), so
+// when a function object is replaced wholesale (rollback), so
 // a recycled pointer with a rewound version counter cannot alias a
 // stale entry.
 func (c *Cache) Invalidate(f *ir.Function) {
@@ -278,11 +287,11 @@ func (c *Cache) Invalidate(f *ir.Function) {
 	delete(c.entries, f)
 }
 
-// Builds reports, per analysis kind, the CFG versions at which a fresh
-// build of f's analysis ran (in build order, duplicates included). The
-// cache-coherence test asserts each version appears at most once per
-// kind.
-func (c *Cache) Builds(f *ir.Function) map[Kind][]uint64 {
+// Builds reports, per analysis kind, every fresh build of f's analysis
+// (in build order, duplicates included). The cache-coherence test
+// asserts each version appears at most once for the CFG analyses, and
+// each (version, fingerprint) at most once for the content-keyed kinds.
+func (c *Cache) Builds(f *ir.Function) map[Kind][]Build {
 	c.mu.Lock()
 	e := c.entries[f]
 	c.mu.Unlock()
@@ -291,9 +300,9 @@ func (c *Cache) Builds(f *ir.Function) map[Kind][]uint64 {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[Kind][]uint64, len(e.builds))
-	for k, vs := range e.builds {
-		out[k] = append([]uint64(nil), vs...)
+	out := make(map[Kind][]Build, len(e.builds))
+	for k, bs := range e.builds {
+		out[k] = append([]Build(nil), bs...)
 	}
 	return out
 }

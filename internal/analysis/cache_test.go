@@ -184,8 +184,14 @@ func TestParanoidCatchesMissedBump(t *testing.T) {
 
 // TestPipelineBuildsOncePerVersion runs the full pipeline over the suite
 // workloads with an instrumented cache and asserts the cache-coherence
-// goal of the cross-stage design: no analysis kind is computed more than
-// once per CFG version per function.
+// goal of the cross-stage design: no CFG analysis is computed more than
+// once per CFG version per function, and no content-keyed analysis
+// (code, liveness, pressure) more than once per CFG version and
+// instruction fingerprint. The pipeline promotes in place, so the
+// training run and the measure-after run compile the same function,
+// often at one CFG version but with promotion's rewrites in between.
+// The CFG analyses log a zero fingerprint, so for them each build is
+// unique by version alone.
 func TestPipelineBuildsOncePerVersion(t *testing.T) {
 	for _, w := range workload.Suite() {
 		cache := analysis.New()
@@ -199,14 +205,14 @@ func TestPipelineBuildsOncePerVersion(t *testing.T) {
 		}
 		for _, f := range cache.Functions() {
 			for kind, builds := range cache.Builds(f) {
-				seen := make(map[uint64]bool, len(builds))
-				for _, v := range builds {
-					if seen[v] {
-						t.Errorf("%s/%s: %s built twice at CFG version %d (builds %v)",
-							w.Name, f.Name, kind, v, builds)
+				seen := make(map[analysis.Build]bool, len(builds))
+				for _, b := range builds {
+					if seen[b] {
+						t.Errorf("%s/%s: %s built twice at CFG version %d, fingerprint %#x (builds %v)",
+							w.Name, f.Name, kind, b.Version, b.Fingerprint, builds)
 						break
 					}
-					seen[v] = true
+					seen[b] = true
 				}
 			}
 		}

@@ -82,20 +82,9 @@ func BenchmarkBuildIntervals(b *testing.B) {
 	}
 }
 
-// BenchmarkForestCloneFor and BenchmarkAnnotatedIntervals are the two
-// ways to get a Preheader-annotated forest for a cloned function:
-// remapping the original's forest by block ID, or rebuilding it.
-func BenchmarkForestCloneFor(b *testing.B) {
-	f := benchFunc(b)
-	forest := cfg.AnnotatedIntervals(f)
-	c := f.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		forest.CloneFor(c)
-	}
-}
-
+// BenchmarkAnnotatedIntervals rebuilds the Preheader-annotated forest
+// of a normalized function's clone, as pressure-aware promotion does
+// for each trial.
 func BenchmarkAnnotatedIntervals(b *testing.B) {
 	f := benchFunc(b)
 	c := f.Clone()

@@ -1,9 +1,7 @@
 package cfg
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -266,75 +264,6 @@ func TestQuickNormalizePostconditions(t *testing.T) {
 			}
 		})
 		return ok
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// forestShape renders a forest by block IDs — every interval's depth,
-// header, preheader, entries, members and exit edges, then each block's
-// innermost interval — and reports whether every block it names is one
-// of f's.
-func forestShape(f *ir.Function, fo *Forest) (string, bool) {
-	own := make(map[*ir.Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		own[b] = true
-	}
-	ok := true
-	var sb strings.Builder
-	ids := func(bs ...*ir.Block) {
-		for _, b := range bs {
-			if b == nil {
-				sb.WriteString(" -")
-				continue
-			}
-			ok = ok && own[b]
-			fmt.Fprintf(&sb, " %d", b.ID)
-		}
-		sb.WriteString(";")
-	}
-	fo.Root.Walk(func(iv *Interval) {
-		fmt.Fprintf(&sb, "\ndepth %d root %v children %d:", iv.Depth, iv.Root, len(iv.Children))
-		ids(iv.Header, iv.Preheader)
-		ids(iv.Entries...)
-		ids(iv.Blocks...)
-		for _, e := range iv.ExitEdges {
-			ids(e.From, e.Tail)
-		}
-		if iv.Parent != nil && !iv.Parent.Contains(iv.Header) {
-			ok = false
-		}
-	})
-	for _, b := range f.Blocks {
-		if iv := fo.InnermostInterval(b); iv != nil && iv.Contains(b) {
-			fmt.Fprintf(&sb, "\n%d in %d/%d", b.ID, iv.Header.ID, iv.Depth)
-		}
-	}
-	return sb.String(), ok
-}
-
-// TestQuickForestCloneFor checks that remapping a normalized function's
-// forest onto a clone gives the forest Normalize's annotations would
-// give the clone, made only of the clone's blocks.
-func TestQuickForestCloneFor(t *testing.T) {
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		f := randomCFG(seed, 3+rng.Intn(14))
-		fo, err := Normalize(f)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		c := f.Clone()
-		got, own := forestShape(c, fo.CloneFor(c))
-		want, _ := forestShape(c, AnnotatedIntervals(c))
-		orig, _ := forestShape(f, fo)
-		if !own || got != want || got != orig {
-			t.Logf("seed %d: own blocks %v\ncloned:%s\nrebuilt:%s\noriginal:%s", seed, own, got, want, orig)
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func (m *machine) codeFor(f *ir.Function) *mcode {
 	if c == nil {
 		c = compileBytecode(f, m.globalBase)
 		if m.opts.Code != nil {
-			m.opts.Code.PutCompiledCode(f, c)
+			m.opts.Code.PutCompiledCode(f, c, c.hash)
 		}
 	}
 	fc := m.countersFor(f)

@@ -97,8 +97,9 @@ type Options struct {
 type CodeCache interface {
 	// CompiledCode returns the cached unit for f, if any.
 	CompiledCode(f *ir.Function) (any, bool)
-	// PutCompiledCode stores the unit just compiled for f.
-	PutCompiledCode(f *ir.Function, code any)
+	// PutCompiledCode stores the unit just compiled for f, with the
+	// instruction fingerprint it was compiled from.
+	PutCompiledCode(f *ir.Function, code any, fingerprint uint64)
 }
 
 // Result is the outcome of a run.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"slices"
 )
 
@@ -11,38 +12,33 @@ import (
 // register numbers, and resource IDs are preserved, so a clone prints
 // identically to the original.
 //
-// The clone is not registered in the program; it serves as a shadow
-// copy — the pipeline snapshots each function before transforming it
-// and swaps the snapshot back in with Program.ReplaceFunction when a
-// transformation stage fails.
+// The clone is not registered in the program; it serves as a scratch
+// copy for analyses and trial transformations that must leave f
+// untouched.
 func (f *Function) Clone() *Function { return f.cloneWith(nil) }
 
-// Clone returns a deep copy of the whole program: every global and
-// every function is a fresh object, each function re-parented to the
-// copy, and every memory location (in instructions and in resource
-// tables) remapped to the copied globals, so transforming the copy
-// cannot touch the original. Names, block IDs, register numbers,
-// resource IDs and CFG version counters are preserved, so the copy
-// prints identically and keys the same profile entries. The pipeline
-// runs the frontend once and clones its output to get the program it
-// promotes.
-func (p *Program) Clone() *Program {
-	np := &Program{
-		Globals:     make([]*Global, len(p.Globals)),
-		funcsByName: make(map[string]*Function, len(p.Funcs)),
+// Adopt returns a deep copy of f, a function of another program
+// compiled from the same source, made to belong to p: every memory
+// location naming one of f's globals is remapped to p's global at the
+// same position. The copy is not registered; Program.ReplaceFunction
+// swaps it in. The pipeline promotes the frontend's program in place
+// and rolls a function back by recompiling the source and adopting
+// the fresh function.
+func (p *Program) Adopt(f *Function) *Function {
+	src := f.Prog.Globals
+	if len(src) != len(p.Globals) {
+		panic(fmt.Sprintf("ir: adopting %s: %d globals into a program with %d", f.Name, len(src), len(p.Globals)))
 	}
-	globals := make(map[*Global]*Global, len(p.Globals))
-	for i, g := range p.Globals {
-		ng := *g
-		ng.FieldNames = slices.Clone(g.FieldNames)
-		ng.Init = slices.Clone(g.Init)
-		np.Globals[i] = &ng
-		globals[g] = &ng
+	globals := make(map[*Global]*Global, len(src))
+	for i, g := range src {
+		if g.Name != p.Globals[i].Name {
+			panic(fmt.Sprintf("ir: adopting %s: global %d is %s, want %s", f.Name, i, g.Name, p.Globals[i].Name))
+		}
+		globals[g] = p.Globals[i]
 	}
-	for _, f := range p.Funcs {
-		np.AddFunction(f.cloneWith(globals))
-	}
-	return np
+	nf := f.cloneWith(globals)
+	nf.Prog = p
+	return nf
 }
 
 // cloneWith deep-copies f, remapping global locations through globals

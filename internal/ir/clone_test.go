@@ -105,6 +105,36 @@ func TestCloneSharesGlobals(t *testing.T) {
 	}
 }
 
+// TestAdoptRemapsGlobals adopts a function of one program into another
+// built the same way: the copy prints identically, belongs to the
+// adopting program, names that program's globals, and shares no object
+// with the function it was copied from.
+func TestAdoptRemapsGlobals(t *testing.T) {
+	p, _ := buildCloneFixture()
+	_, src := buildCloneFixture()
+	a := p.Adopt(src)
+	if got, want := a.String(), src.String(); got != want {
+		t.Fatalf("adopted function prints differently:\n--- source\n%s\n--- adopted\n%s", want, got)
+	}
+	if a.Prog != p {
+		t.Fatal("adopted function does not belong to the adopting program")
+	}
+	if a.Entry().Instrs[0].Loc.Global != p.Globals[0] || a.Resources[0].Loc.Global != p.Globals[0] {
+		t.Fatal("adopted function does not name the adopting program's global")
+	}
+	if a.Entry() == src.Entry() || a.Slots[0] == src.Slots[0] || a.Resources[0] == src.Resources[0] {
+		t.Fatal("adopted function shares objects with its source")
+	}
+
+	other := ir.NewProgram()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adopting into a program with other globals did not panic")
+		}
+	}()
+	other.Adopt(src)
+}
+
 func TestReplaceFunction(t *testing.T) {
 	p, f := buildCloneFixture()
 	c := f.Clone()

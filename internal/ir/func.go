@@ -277,8 +277,8 @@ func (p *Program) AddFunction(f *Function) {
 // ReplaceFunction substitutes nf for the registered function of the same
 // name, preserving its position in Funcs. Calls are linked by name, so
 // every call site picks up the replacement automatically. The pipeline
-// uses this to swap a pre-transformation snapshot back in when a stage
-// fails on one function.
+// uses this to swap a function's unpromoted IR (see Program.Adopt) back
+// in when a stage fails on it.
 func (p *Program) ReplaceFunction(nf *Function) {
 	old := p.funcsByName[nf.Name]
 	if old == nil {
@@ -302,7 +302,7 @@ func (p *Program) Func(name string) *Function {
 
 // FuncIndex returns the position of the named function in Funcs
 // (declaration order), or -1. ReplaceFunction preserves positions, so
-// the index is stable across snapshot rollbacks — the pipeline keys its
+// the index is stable across rollbacks — the pipeline keys its
 // canonical result ordering on it.
 func (p *Program) FuncIndex(name string) int {
 	f := p.funcsByName[name]

@@ -29,7 +29,7 @@ func (r *runner) workerCount(nfuncs int) int {
 // transformAll runs the per-function transformation chain over every
 // function of after, either sequentially or on a bounded worker pool
 // (Options.Workers). Each function's chain is independent — its own
-// SSA construction, interval tree, webs, and rollback snapshot — so
+// SSA construction, interval tree, webs, and rollback — so
 // the only shared state is program-level bookkeeping, which the
 // runner's mutex serializes and finish canonicalizes. The outcome is
 // therefore identical for every worker count; only wall time changes.

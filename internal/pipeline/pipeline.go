@@ -5,24 +5,25 @@
 //	       ─ (training run → profile | static estimate)
 //	       ─ ssa.Build ─ core.PromoteFunction ─ opt.Cleanup ─ ssa.Destruct
 //
-// The frontend (compile, alias analysis, normalization) runs once.
-// Because promotion mutates the IR in place, the pipeline then deep-
-// clones the normalized program (ir.Program.Clone): the original stays
-// the baseline, the clone is promoted, so before/after comparisons run
-// the same input on genuinely independent programs. In the default
-// profile mode the training run of the baseline doubles as its
-// measurement: the two would interpret the same program on the same
-// input, so Outcome.Before is the training run without its profile and
-// the measure-before stage runs only when training cannot supply the
-// baseline (StaticProfile, TrainSrc).
+// The frontend (compile, alias analysis, normalization) runs once, and
+// the program it returns is promoted in place: everything that reads
+// the unpromoted program — static counts, diagnostics, the training or
+// measure-before run, the static profile estimate — runs before the
+// transformation starts. In the default profile mode the training run
+// doubles as the baseline measurement: the two would interpret the
+// same program on the same input, so Outcome.Before is the training
+// run without its profile and the measure-before stage runs only when
+// training cannot supply the baseline (StaticProfile, TrainSrc).
 //
 // Every phase of the flow runs as a named, panic-isolated stage: a
 // panicking or erring stage becomes a structured *StageError instead of
 // killing the process. Per-function stages additionally degrade
-// gracefully — the pipeline snapshots each function before transforming
-// it, and a failure rolls that one function back to its unpromoted IR,
-// records a Degradation in the Outcome, and keeps compiling the rest of
-// the program. Options.Check turns on stage-boundary re-verification
+// gracefully — a failure rolls that one function back to its unpromoted
+// IR, records a Degradation in the Outcome, and keeps compiling the
+// rest of the program. The unpromoted IR comes from compiling the
+// source again (the frontend is deterministic), once per run and only
+// when a rollback is needed, so a run that degrades nothing copies no
+// IR. Options.Check turns on stage-boundary re-verification
 // and a paranoid semantic differential check; Options.Faults injects
 // deterministic failures so the recovery paths themselves stay tested.
 package pipeline
@@ -136,7 +137,9 @@ type Options struct {
 	// the run's analysis cache as its code cache.
 	Interp interp.Options
 	// SkipMeasurement skips the before/after interpreter runs (the
-	// caller only wants the transformed program and static counts).
+	// caller only wants the transformed program and static counts). With
+	// CheckParanoid the differential still needs a baseline run; when
+	// training did not supply one, measure-before runs for it.
 	SkipMeasurement bool
 	// Check selects how much self-checking runs during transformation:
 	// stage-boundary IR verification (CheckBoundaries) and the
@@ -227,23 +230,28 @@ func (o *Outcome) DegradedFuncs() []string {
 type runner struct {
 	opts Options
 	out  *Outcome
-	// mu guards the shared run state (out, snapshots, degraded, the
-	// program's function registry) while the per-function transform
-	// chains execute on the worker pool. Outside that phase the run is
-	// single-goroutine and the lock is uncontended.
-	mu sync.Mutex
-	// snapshots holds each function's pre-transformation clone, used to
-	// roll a failing function back and to bisect differential-check
-	// mismatches down to one function.
-	snapshots map[string]*ir.Function
-	degraded  map[string]bool
+	// src is the program text, compiled again for rollbacks.
+	src string
+	// mu guards the shared run state (out, degraded, the program's
+	// function registry) while the per-function transform chains execute
+	// on the worker pool. Outside that phase the run is single-goroutine
+	// and the lock is uncontended.
+	mu       sync.Mutex
+	degraded map[string]bool
+	// pristine is a second compile of src, alias-analyzed but not
+	// normalized, made on the first rollback: the source of the
+	// unpromoted IR a failing function is rolled back to.
+	pristineOnce sync.Once
+	pristine     *ir.Program
+	pristineErr  error
 	// cache memoizes per-function CFG analyses across stages, keyed on
 	// the functions' CFG version counters; nil when NoAnalysisCache.
 	cache *analysis.Cache
 	// baseline is the unpromoted program's run — the training run in
 	// the default profile mode, else the measure-before run — kept even
-	// when SkipMeasurement leaves Outcome.Before nil, so the paranoid
-	// differential need not interpret the baseline again.
+	// when SkipMeasurement leaves Outcome.Before nil: the paranoid
+	// differential and the measure-after rescue compare against it after
+	// the program has been promoted in place.
 	baseline *interp.Result
 }
 
@@ -288,10 +296,10 @@ func Run(src string, opts Options) (*Outcome, error) {
 		return nil, err
 	}
 	r := &runner{
-		opts:      opts,
-		out:       &Outcome{Stats: make(map[string]*core.Stats)},
-		snapshots: make(map[string]*ir.Function),
-		degraded:  make(map[string]bool),
+		opts:     opts,
+		out:      &Outcome{Stats: make(map[string]*core.Stats)},
+		src:      src,
+		degraded: make(map[string]bool),
 	}
 	if opts.PressureCap > 0 {
 		r.out.Pressure = make(map[string]*core.PressureResult)
@@ -304,20 +312,19 @@ func Run(src string, opts Options) (*Outcome, error) {
 		r.cache.Paranoid = true
 	}
 
-	// Baseline program: compiled, analyzed, normalized — not promoted.
-	// The promoted program is cloned from it below.
-	before, beforeForests, err := r.frontend(src)
+	// The program: compiled, analyzed, normalized, and promoted in
+	// place below.
+	prog, forests, err := r.frontend(src)
 	if err != nil {
 		return nil, err
 	}
-	r.out.StaticBefore = countStatic(before)
+	r.out.StaticBefore = countStatic(prog)
 
-	// Opt-in static diagnostics, on the baseline program: the rules
-	// clone what they need, so the differential check's reference is
-	// untouched.
+	// Opt-in static diagnostics, on the unpromoted program: the rules
+	// clone what they need, so the program promoted below is untouched.
 	if opts.Diagnose {
 		if err := r.runStage(StageDiagnose, "", nil, func() error {
-			ds, derr := diag.AnalyzeProgram(before, diag.Options{})
+			ds, derr := diag.AnalyzeProgram(prog, diag.Options{})
 			if derr != nil {
 				return derr
 			}
@@ -331,7 +338,7 @@ func Run(src string, opts Options) (*Outcome, error) {
 	// Training profile (on the unpromoted program, or on a separate
 	// training-input variant when TrainSrc is set). A training run of
 	// the unpromoted program is also its baseline run.
-	prof, trainRun, err := r.trainProfile(before, beforeForests)
+	prof, trainRun, err := r.trainProfile(prog, forests)
 	if err != nil {
 		return nil, err
 	}
@@ -343,33 +350,33 @@ func Run(src string, opts Options) (*Outcome, error) {
 	}
 
 	// Measurement of the unpromoted program, when training did not
-	// already interpret it.
-	if !opts.SkipMeasurement {
-		if r.baseline == nil {
-			res, err := r.measure(StageMeasureBefore, before)
-			if err != nil {
-				return nil, err
-			}
-			r.baseline = res
+	// already interpret it. The paranoid differential needs that run
+	// even when SkipMeasurement is set, and promotion is in place, so
+	// this is the last point at which the unpromoted program exists.
+	if r.baseline == nil && (!opts.SkipMeasurement || opts.Check >= CheckParanoid) {
+		res, err := r.measure(StageMeasureBefore, prog)
+		if err != nil {
+			return nil, err
 		}
+		r.baseline = res
+	}
+	if !opts.SkipMeasurement {
 		r.out.Before = r.baseline
 	}
 
-	// Promoted program: a deep clone of the baseline, transformed
-	// function by function, each behind its own isolation and rollback
-	// boundary.
-	after, forests := r.clone(before, beforeForests)
-	if err := r.transformAll(after, forests, prof); err != nil {
+	// Promotion, function by function, each behind its own isolation and
+	// rollback boundary.
+	if err := r.transformAll(prog, forests, prof); err != nil {
 		return nil, err
 	}
-	r.out.Prog = after
+	r.out.Prog = prog
 
 	if !opts.SkipMeasurement {
-		res, err := r.measure(StageMeasureAfter, after)
+		res, err := r.measure(StageMeasureAfter, prog)
 		if err != nil {
 			// A promoted program that no longer runs is a miscompile:
 			// try to rescue the run by degrading the culprit function.
-			if rerr := r.rescueAfter(after, err); rerr != nil {
+			if rerr := r.rescueAfter(prog, err); rerr != nil {
 				return nil, rerr
 			}
 		} else {
@@ -378,13 +385,13 @@ func Run(src string, opts Options) (*Outcome, error) {
 	}
 
 	if opts.Check >= CheckParanoid {
-		if err := r.differential(before, after); err != nil {
+		if err := r.differential(prog); err != nil {
 			return nil, err
 		}
 	}
 
-	r.out.StaticAfter = countStatic(after)
-	r.finish(after)
+	r.out.StaticAfter = countStatic(prog)
+	r.finish(prog)
 	return r.out, nil
 }
 
@@ -409,7 +416,6 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 	forests := make(map[string]*cfg.Forest, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		f := f
-		snap := f.Clone()
 		err := r.runStage(StageNormalize, f.Name, func() string { return f.String() }, func() error {
 			forest, err := cfg.Normalize(f)
 			if err != nil {
@@ -433,7 +439,11 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 			if r.opts.FailFast {
 				return nil, nil, err
 			}
-			prog.ReplaceFunction(snap)
+			orig, uerr := r.unpromoted(prog, f.Name, false)
+			if uerr != nil {
+				return nil, nil, uerr
+			}
+			prog.ReplaceFunction(orig)
 			forests[f.Name] = nil
 			r.recordDegradation(f.Name, StageNormalize, err)
 		}
@@ -441,36 +451,44 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 	return prog, forests, nil
 }
 
-// clone deep-copies the frontend's output for promotion: the program
-// (ir.Program.Clone) and each function's interval forest, remapped onto
-// the clone's blocks and seeded into the analysis cache like the
-// frontend's own. A function degraded at normalize keeps a nil forest.
-func (r *runner) clone(prog *ir.Program, forests map[string]*cfg.Forest) (*ir.Program, map[string]*cfg.Forest) {
-	c := prog.Clone()
-	cforests := make(map[string]*cfg.Forest, len(forests))
-	for _, f := range c.Funcs {
-		if forest := forests[f.Name]; forest != nil {
-			cf := forest.CloneFor(f)
-			cforests[f.Name] = cf
-			if r.cache != nil {
-				r.cache.PutIntervals(f, cf)
-			}
+// unpromoted returns a fresh copy of the named function as the
+// frontend left it, adopted into prog, for rolling that function back:
+// before normalization when normalized is false, after it otherwise.
+// The first call compiles the source and runs alias analysis again,
+// outside any stage, so no injected fault fires there; the frontend is
+// deterministic, so the copy is the IR the frontend produced. Safe for
+// concurrent use by the worker pool.
+func (r *runner) unpromoted(prog *ir.Program, name string, normalized bool) (*ir.Function, error) {
+	r.pristineOnce.Do(func() {
+		p, err := compileInput(r.opts.Lang, r.src)
+		if err == nil {
+			err = alias.Analyze(p)
+		}
+		r.pristine, r.pristineErr = p, err
+	})
+	if r.pristineErr != nil {
+		return nil, fmt.Errorf("recompiling %s for rollback: %w", name, r.pristineErr)
+	}
+	f := prog.Adopt(r.pristine.Func(name))
+	if normalized {
+		if _, err := cfg.Normalize(f); err != nil {
+			return nil, fmt.Errorf("normalizing %s for rollback: %w", name, err)
 		}
 	}
-	return c, cforests
+	return f, nil
 }
 
 // trainProfile acquires the promotion profile behind the train stage's
 // isolation boundary. In the default mode it also returns the training
 // run, which interpreted the unpromoted program on the measurement
 // input; the static and TrainSrc modes return a nil run.
-func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest) (*profile.Profile, *interp.Result, error) {
+func (r *runner) trainProfile(prog *ir.Program, forests map[string]*cfg.Forest) (*profile.Profile, *interp.Result, error) {
 	prof := profile.NewProfile()
 	var run *interp.Result
 	err := r.runStage(StageTrain, "", nil, func() error {
 		switch {
 		case r.opts.StaticProfile:
-			p, err := estimateAll(before, forests)
+			p, err := estimateAll(prog, forests)
 			if err != nil {
 				return err
 			}
@@ -480,7 +498,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 			if err != nil {
 				return fmt.Errorf("training source: %w", err)
 			}
-			for _, f := range before.Funcs {
+			for _, f := range prog.Funcs {
 				if train.Func(f.Name) == nil {
 					return fmt.Errorf("training source lacks function %s", f.Name)
 				}
@@ -495,7 +513,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 		default:
 			popts := r.interpOptions()
 			popts.CollectProfile = true
-			res, err := interp.Run(before, popts)
+			res, err := interp.Run(prog, popts)
 			if err != nil {
 				return fmt.Errorf("training run: %w", err)
 			}
@@ -528,17 +546,15 @@ type transformStep struct {
 
 // transformFunc runs the per-function transformation chain for f. Any
 // stage failure (including a boundary-check failure) rolls f back to
-// its pre-transformation snapshot and records a Degradation, unless
-// FailFast is set, in which case the *StageError is returned.
+// its unpromoted IR and records a Degradation, unless FailFast is set,
+// in which case the *StageError is returned.
 func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.Forest, prof *profile.Profile) error {
 	r.mu.Lock()
-	if r.degraded[f.Name] {
-		r.mu.Unlock()
+	degraded := r.degraded[f.Name]
+	r.mu.Unlock()
+	if degraded {
 		return nil // degraded at normalize; already in known-good state
 	}
-	snap := f.Clone()
-	r.snapshots[f.Name] = snap
-	r.mu.Unlock()
 	fp := prof.ForFunc(f.Name)
 
 	var stats *core.Stats
@@ -642,7 +658,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 			return r.boundaryCheck(f, st.inSSA)
 		})
 		if err != nil {
-			return r.degrade(prog, f, snap, st.name, err)
+			return r.degrade(prog, f, st.name, err)
 		}
 	}
 
@@ -651,7 +667,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	if err := r.runStage(StageVerify, f.Name, func() string { return f.String() }, func() error {
 		return f.Verify(ir.VerifyCFG)
 	}); err != nil {
-		return r.degrade(prog, f, snap, StageVerify, err)
+		return r.degrade(prog, f, StageVerify, err)
 	}
 
 	if stats != nil {
@@ -681,18 +697,21 @@ func (r *runner) boundaryCheck(f *ir.Function, inSSA bool) error {
 	return nil
 }
 
-// degrade rolls f back to snap inside prog and records the absorbed
-// failure, or returns it when FailFast is set. The rollback and the
-// bookkeeping run under the runner's lock: ReplaceFunction mutates the
-// program's shared function registry, which concurrent workers may be
-// swapping other functions into.
-func (r *runner) degrade(prog *ir.Program, f *ir.Function, snap *ir.Function, stage string, err error) error {
+// degrade rolls f back to its unpromoted IR inside prog and records
+// the absorbed failure, or returns it when FailFast is set. The
+// rollback and the bookkeeping run under the runner's lock:
+// ReplaceFunction mutates the program's shared function registry, which
+// concurrent workers may be swapping other functions into.
+func (r *runner) degrade(prog *ir.Program, f *ir.Function, stage string, err error) error {
 	if r.opts.FailFast {
 		return err
 	}
+	orig, uerr := r.unpromoted(prog, f.Name, true)
+	if uerr != nil {
+		return uerr
+	}
 	r.mu.Lock()
-	prog.ReplaceFunction(snap)
-	r.snapshots[f.Name] = snap
+	prog.ReplaceFunction(orig)
 	delete(r.out.Stats, f.Name)
 	delete(r.out.Pressure, f.Name)
 	r.mu.Unlock()
@@ -734,22 +753,15 @@ func (r *runner) recomputeTotals() {
 	}
 }
 
-// differential is the paranoid semantic check: the baseline and
-// transformed programs must print the same output, return the same
+// differential is the paranoid semantic check: the baseline run and
+// the transformed program must print the same output, return the same
 // value, and leave identical global memory. On a mismatch the pipeline
 // bisects — it retries with one function at a time rolled back to its
-// unpromoted snapshot, and if a single rollback restores equivalence,
-// that function is degraded and compilation succeeds.
-func (r *runner) differential(before, after *ir.Program) error {
+// unpromoted IR, and if a single rollback restores equivalence, that
+// function is degraded and compilation succeeds.
+func (r *runner) differential(after *ir.Program) error {
 	return r.runStage(StageDifferential, "", func() string { return after.String() }, func() error {
 		resB := r.baseline
-		if resB == nil {
-			rb, err := interp.Run(before, r.interpOptions())
-			if err != nil {
-				return fmt.Errorf("baseline run: %w", err)
-			}
-			resB = rb
-		}
 		resA := r.out.After
 		if resA == nil {
 			ra, err := interp.Run(after, r.interpOptions())
@@ -825,22 +837,21 @@ func (r *runner) bisect(after *ir.Program, want *interp.Result) bool {
 	if r.opts.FailFast {
 		return false
 	}
-	for _, f := range after.Funcs {
-		snap := r.snapshots[f.Name]
-		if snap == nil || r.degraded[f.Name] {
-			continue
+	for _, cur := range after.Funcs {
+		if r.degraded[cur.Name] {
+			continue // already unpromoted
 		}
-		cur := after.Func(f.Name)
-		if cur == snap {
-			continue
+		orig, err := r.unpromoted(after, cur.Name, true)
+		if err != nil {
+			return false
 		}
-		after.ReplaceFunction(snap)
+		after.ReplaceFunction(orig)
 		res, err := interp.Run(after, r.interpOptions())
 		if err == nil && compareResults(want, res) == "" {
-			delete(r.out.Stats, f.Name)
-			delete(r.out.Pressure, f.Name)
-			r.recordDegradation(f.Name, StageDifferential, fmt.Errorf(
-				"transformed program diverged from baseline; rolling back %s restored equivalence", f.Name))
+			delete(r.out.Stats, cur.Name)
+			delete(r.out.Pressure, cur.Name)
+			r.recordDegradation(cur.Name, StageDifferential, fmt.Errorf(
+				"transformed program diverged from baseline; rolling back %s restored equivalence", cur.Name))
 			if !r.opts.SkipMeasurement {
 				r.out.After = res
 			}

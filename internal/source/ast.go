@@ -74,6 +74,8 @@ type GlobalDecl struct {
 	// AddrTaken is set by the checker when &name occurs anywhere in the
 	// program.
 	AddrTaken bool
+	// Sym is the global's symbol, set by the checker.
+	Sym *Symbol
 }
 
 // FuncDecl declares a function.
@@ -90,6 +92,9 @@ type Param struct {
 	Name string
 	Type Type
 	Pos  Pos
+
+	// Sym is the parameter's symbol, set by the checker.
+	Sym *Symbol
 }
 
 // Stmt is a statement node.
@@ -112,6 +117,8 @@ type DeclStmt struct {
 	// AddrTaken is set by the checker when &name occurs anywhere in the
 	// function, forcing the local into a stack slot.
 	AddrTaken bool
+	// Sym is the declared symbol, set by the checker.
+	Sym *Symbol
 }
 
 // AssignStmt is `lhs op= rhs`, where Op is one of "=", "+=", "-=", "*=",
@@ -203,6 +210,7 @@ type NumExpr struct {
 type VarExpr struct {
 	Name string
 	Pos  Pos
+	Sym  *Symbol // the variable, resolved by the checker
 }
 
 // IndexExpr is `Arr[Idx]`.
@@ -210,6 +218,7 @@ type IndexExpr struct {
 	Arr string // array variable name
 	Idx Expr
 	Pos Pos
+	Sym *Symbol // the array, resolved by the checker
 }
 
 // FieldExpr is `Rec.Field`.
@@ -217,6 +226,7 @@ type FieldExpr struct {
 	Rec   string // struct variable name
 	Field string
 	Pos   Pos
+	Sym   *Symbol // the struct variable, resolved by the checker
 }
 
 // UnaryExpr is `Op X` with Op in "-", "!", "~", "*", "&".

@@ -1,6 +1,10 @@
 package source
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/ir"
+)
 
 // VarKind classifies resolved variables.
 type VarKind uint8
@@ -13,8 +17,9 @@ const (
 )
 
 // Symbol is a resolved variable. One Symbol exists per declaration; the
-// checker maps every use site to its Symbol, so the lowering pass never
-// needs scope information.
+// checker stores it on the declaring node and on every use site (the
+// Sym fields of GlobalDecl, Param, DeclStmt, VarExpr, IndexExpr and
+// FieldExpr), so the lowering pass never needs scope information.
 type Symbol struct {
 	Kind     VarKind
 	Name     string
@@ -26,24 +31,24 @@ type Symbol struct {
 	// AddrTaken is set when &name occurs; address-taken locals are
 	// lowered to stack slots instead of registers.
 	AddrTaken bool
+
+	// The symbol's storage in the IR, set by Lower where the symbol is
+	// declared and read at every use: a register for register-resident
+	// locals and parameters (inReg), a stack slot for memory-resident
+	// locals, the global object for globals.
+	reg   ir.RegID
+	inReg bool
+	slot  *ir.Slot
+	obj   *ir.Global
 }
 
-// Checked is the result of type checking: the file plus resolution and
-// type annotations keyed by AST node identity.
+// Checked is the result of type checking: the file, its nodes
+// annotated with their resolved symbols, and the struct and function
+// tables by name.
 type Checked struct {
 	File    *File
 	Structs map[string]*StructDef
 	Funcs   map[string]*FuncDecl
-
-	// Uses maps VarExpr, IndexExpr, and FieldExpr nodes (and assignment
-	// targets) to the symbol they name.
-	Uses map[Expr]*Symbol
-	// Decls maps each local declaration to its symbol.
-	Decls map[*DeclStmt]*Symbol
-	// Params maps each function to its parameter symbols.
-	Params map[*FuncDecl][]*Symbol
-	// Types records the type of every expression.
-	Types map[Expr]Type
 }
 
 type checker struct {
@@ -54,16 +59,13 @@ type checker struct {
 	loops   int
 }
 
-// Check type-checks a parsed file and returns resolution annotations.
+// Check type-checks a parsed file, storing each resolved symbol on the
+// nodes that declare or use it.
 func Check(file *File) (*Checked, error) {
 	c := &Checked{
 		File:    file,
 		Structs: make(map[string]*StructDef),
 		Funcs:   make(map[string]*FuncDecl),
-		Uses:    make(map[Expr]*Symbol),
-		Decls:   make(map[*DeclStmt]*Symbol),
-		Params:  make(map[*FuncDecl][]*Symbol),
-		Types:   make(map[Expr]Type),
 	}
 	ck := &checker{c: c, globals: make(map[string]*Symbol)}
 
@@ -97,9 +99,8 @@ func Check(file *File) (*Checked, error) {
 		if _, dup := ck.globals[g.Name]; dup {
 			return nil, fmt.Errorf("%v: global %s redefined", g.Pos, g.Name)
 		}
-		ck.globals[g.Name] = &Symbol{
-			Kind: VarGlobal, Name: g.Name, Type: g.Type, ArrayN: g.ArrayN, Global: g,
-		}
+		g.Sym = &Symbol{Kind: VarGlobal, Name: g.Name, Type: g.Type, ArrayN: g.ArrayN, Global: g}
+		ck.globals[g.Name] = g.Sym
 	}
 	for _, fn := range file.Funcs {
 		if _, dup := c.Funcs[fn.Name]; dup {
@@ -126,15 +127,13 @@ func (ck *checker) checkFunc(fn *FuncDecl) error {
 	ck.fn = fn
 	ck.scopes = []map[string]*Symbol{{}}
 	ck.loops = 0
-	var params []*Symbol
-	for i, p := range fn.Params {
-		sym := &Symbol{Kind: VarParam, Name: p.Name, Type: p.Type, ParamIdx: i}
-		if err := ck.declare(sym, p.Pos); err != nil {
+	for i := range fn.Params {
+		p := &fn.Params[i]
+		p.Sym = &Symbol{Kind: VarParam, Name: p.Name, Type: p.Type, ParamIdx: i}
+		if err := ck.declare(p.Sym, p.Pos); err != nil {
 			return err
 		}
-		params = append(params, sym)
 	}
-	ck.c.Params[fn] = params
 	return ck.checkStmt(fn.Body)
 }
 
@@ -190,9 +189,8 @@ func (ck *checker) checkStmt(s Stmt) error {
 				return err
 			}
 		}
-		sym := &Symbol{Kind: VarLocal, Name: s.Name, Type: s.Type, ArrayN: s.ArrayN, Decl: s}
-		ck.c.Decls[s] = sym
-		return ck.declare(sym, s.Pos)
+		s.Sym = &Symbol{Kind: VarLocal, Name: s.Name, Type: s.Type, ArrayN: s.ArrayN, Decl: s}
+		return ck.declare(s.Sym, s.Pos)
 	case *AssignStmt:
 		lty, err := ck.checkLvalue(s.Lhs)
 		if err != nil {
@@ -350,8 +348,7 @@ func (ck *checker) checkLvalue(e Expr) (Type, error) {
 		if sym.Type.Kind == TypeArray || sym.Type.Kind == TypeStruct {
 			return Type{}, fmt.Errorf("%v: cannot assign to whole %v %s", e.Pos, sym.Type, e.Name)
 		}
-		ck.c.Uses[e] = sym
-		ck.c.Types[e] = sym.Type
+		e.Sym = sym
 		return sym.Type, nil
 	case *IndexExpr, *FieldExpr:
 		return ck.checkExpr(e)
@@ -366,22 +363,13 @@ func (ck *checker) checkLvalue(e Expr) (Type, error) {
 		if ty.Kind != TypePtr {
 			return Type{}, fmt.Errorf("%v: cannot dereference %v", e.Pos, ty)
 		}
-		ck.c.Types[e] = Type{Kind: TypeInt}
 		return Type{Kind: TypeInt}, nil
 	}
 	return Type{}, fmt.Errorf("expression is not an lvalue")
 }
 
+// checkExpr resolves the variables e names and returns its type.
 func (ck *checker) checkExpr(e Expr) (Type, error) {
-	ty, err := ck.exprType(e)
-	if err != nil {
-		return Type{}, err
-	}
-	ck.c.Types[e] = ty
-	return ty, nil
-}
-
-func (ck *checker) exprType(e Expr) (Type, error) {
 	switch e := e.(type) {
 	case *NumExpr:
 		return Type{Kind: TypeInt}, nil
@@ -396,7 +384,7 @@ func (ck *checker) exprType(e Expr) (Type, error) {
 		if sym.Type.Kind == TypeStruct {
 			return Type{}, fmt.Errorf("%v: struct %s used without field access", e.Pos, e.Name)
 		}
-		ck.c.Uses[e] = sym
+		e.Sym = sym
 		return sym.Type, nil
 	case *IndexExpr:
 		sym := ck.lookup(e.Arr)
@@ -413,7 +401,7 @@ func (ck *checker) exprType(e Expr) (Type, error) {
 		if ity.Kind != TypeInt {
 			return Type{}, fmt.Errorf("%v: array index must be int", e.Pos)
 		}
-		ck.c.Uses[e] = sym
+		e.Sym = sym
 		return Type{Kind: TypeInt}, nil
 	case *FieldExpr:
 		sym := ck.lookup(e.Rec)
@@ -426,7 +414,7 @@ func (ck *checker) exprType(e Expr) (Type, error) {
 		if sym.Type.Struct.FieldIndex(e.Field) < 0 {
 			return Type{}, fmt.Errorf("%v: struct %s has no field %s", e.Pos, sym.Type.Struct.Name, e.Field)
 		}
-		ck.c.Uses[e] = sym
+		e.Sym = sym
 		return Type{Kind: TypeInt}, nil
 	case *UnaryExpr:
 		switch e.Op {
@@ -533,16 +521,14 @@ func (ck *checker) checkAddrOf(e *UnaryExpr) (Type, error) {
 		if sym.Kind == VarParam {
 			return Type{}, fmt.Errorf("%v: taking the address of parameter %s is not supported", e.Pos, x.Name)
 		}
-		ck.c.Uses[x] = sym
-		ck.c.Types[x] = sym.Type
+		x.Sym = sym
 		ck.markAddrTaken(sym)
 		return Type{Kind: TypePtr}, nil
 	case *FieldExpr:
 		if _, err := ck.checkExpr(x); err != nil {
 			return Type{}, err
 		}
-		sym := ck.c.Uses[x]
-		ck.markAddrTaken(sym)
+		ck.markAddrTaken(x.Sym)
 		return Type{Kind: TypePtr}, nil
 	}
 	return Type{}, fmt.Errorf("%v: & requires a scalar variable or struct field", e.Pos)

@@ -32,7 +32,7 @@ func Lower(checked *Checked) (*ir.Program, error) {
 		og := prog.AddGlobal(g.Name, size, isArray, fields)
 		og.Init = g.Init
 		og.AddrTaken = g.AddrTaken
-		lw.globalObjs = append(lw.globalObjs, og)
+		g.Sym.obj = og
 	}
 
 	for _, fn := range checked.File.Funcs {
@@ -44,20 +44,13 @@ func Lower(checked *Checked) (*ir.Program, error) {
 }
 
 type lowerer struct {
-	checked    *Checked
-	prog       *ir.Program
-	globalObjs []*ir.Global
+	checked *Checked
+	prog    *ir.Program
 
 	f      *ir.Function
 	cur    *ir.Block
-	regs   map[*Symbol]ir.RegID // register-resident locals and params
-	slots  map[*Symbol]*ir.Slot // memory-resident locals
 	breaks []*ir.Block
 	conts  []*ir.Block
-}
-
-func (lw *lowerer) globalObj(g *GlobalDecl) *ir.Global {
-	return lw.prog.FindGlobal(g.Name)
 }
 
 func (lw *lowerer) emit(in *ir.Instr) *ir.Instr {
@@ -88,15 +81,13 @@ func (lw *lowerer) branchTo(cond ir.Value, then, els *ir.Block) {
 func (lw *lowerer) lowerFunc(fn *FuncDecl) error {
 	f := ir.NewFunction(lw.prog, fn.Name)
 	lw.f = f
-	lw.regs = make(map[*Symbol]ir.RegID)
-	lw.slots = make(map[*Symbol]*ir.Slot)
 	lw.breaks = nil
 	lw.conts = nil
 
-	for _, psym := range lw.checked.Params[fn] {
-		r := f.NewReg(psym.Name)
+	for _, p := range fn.Params {
+		r := f.NewReg(p.Name)
 		f.Params = append(f.Params, r)
-		lw.regs[psym] = r
+		p.Sym.reg, p.Sym.inReg = r, true
 	}
 
 	entry := f.NewBlock()
@@ -127,16 +118,16 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 		return nil
 
 	case *DeclStmt:
-		sym := lw.checked.Decls[s]
+		sym := s.Sym
 		switch {
 		case sym.Type.Kind == TypeArray:
-			lw.slots[sym] = lw.f.NewSlot(sym.Name, sym.ArrayN, true, nil)
+			sym.slot = lw.f.NewSlot(sym.Name, sym.ArrayN, true, nil)
 		case sym.Type.Kind == TypeStruct:
-			lw.slots[sym] = lw.f.NewSlot(sym.Name, len(sym.Type.Struct.Fields), false, sym.Type.Struct.Fields)
+			sym.slot = lw.f.NewSlot(sym.Name, len(sym.Type.Struct.Fields), false, sym.Type.Struct.Fields)
 		case sym.AddrTaken:
 			slot := lw.f.NewSlot(sym.Name, 1, false, nil)
 			slot.AddrTaken = true
-			lw.slots[sym] = slot
+			sym.slot = slot
 			init := ir.ConstVal(0)
 			if s.Init != nil {
 				v, err := lw.lowerExpr(s.Init)
@@ -150,7 +141,7 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 			lw.emit(st)
 		default:
 			r := lw.f.NewReg(sym.Name)
-			lw.regs[sym] = r
+			sym.reg, sym.inReg = r, true
 			init := ir.ConstVal(0)
 			if s.Init != nil {
 				v, err := lw.lowerExpr(s.Init)
@@ -331,9 +322,9 @@ type lvalue struct {
 func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 	switch e := e.(type) {
 	case *VarExpr:
-		sym := lw.checked.Uses[e]
-		if r, ok := lw.regs[sym]; ok {
-			return lvalue{reg: r}, nil
+		sym := e.Sym
+		if sym.inReg {
+			return lvalue{reg: sym.reg}, nil
 		}
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
@@ -341,7 +332,7 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 		}
 		return lvalue{reg: ir.NoReg, direct: true, loc: loc}, nil
 	case *FieldExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		idx := sym.Type.Struct.FieldIndex(e.Field)
 		loc, err := lw.symbolLoc(sym, idx)
 		if err != nil {
@@ -349,7 +340,7 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 		}
 		return lvalue{reg: ir.NoReg, direct: true, loc: loc}, nil
 	case *IndexExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
 			return lvalue{}, err
@@ -375,17 +366,15 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 func (lw *lowerer) symbolLoc(sym *Symbol, offset int) (ir.MemLoc, error) {
 	switch sym.Kind {
 	case VarGlobal:
-		g := lw.globalObj(sym.Global)
-		if g == nil {
+		if sym.obj == nil {
 			return ir.MemLoc{}, fmt.Errorf("missing global object %s", sym.Name)
 		}
-		return ir.GlobalLoc(g, offset), nil
+		return ir.GlobalLoc(sym.obj, offset), nil
 	case VarLocal:
-		slot, ok := lw.slots[sym]
-		if !ok {
+		if sym.slot == nil {
 			return ir.MemLoc{}, fmt.Errorf("local %s has no slot", sym.Name)
 		}
-		return ir.SlotLoc(slot, offset), nil
+		return ir.SlotLoc(sym.slot, offset), nil
 	}
 	return ir.MemLoc{}, fmt.Errorf("symbol %s is not addressable", sym.Name)
 }
@@ -490,9 +479,9 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.ConstVal(e.Val), nil
 
 	case *VarExpr:
-		sym := lw.checked.Uses[e]
-		if r, ok := lw.regs[sym]; ok {
-			return ir.RegVal(r), nil
+		sym := e.Sym
+		if sym.inReg {
+			return ir.RegVal(sym.reg), nil
 		}
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
@@ -505,7 +494,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.RegVal(r), nil
 
 	case *FieldExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		idx := sym.Type.Struct.FieldIndex(e.Field)
 		loc, err := lw.symbolLoc(sym, idx)
 		if err != nil {
@@ -518,7 +507,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.RegVal(r), nil
 
 	case *IndexExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
 			return ir.Value{}, err

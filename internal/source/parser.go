@@ -482,10 +482,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	}
 	switch p.tok.Kind {
 	case TokAssign, TokPlusEq, TokMinusEq, TokStarEq, TokSlashEq, TokPctEq:
-		op := map[TokKind]string{
-			TokAssign: "=", TokPlusEq: "+=", TokMinusEq: "-=",
-			TokStarEq: "*=", TokSlashEq: "/=", TokPctEq: "%=",
-		}[p.tok.Kind]
+		op := assignName[p.tok.Kind]
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -586,6 +583,16 @@ var binName = map[TokKind]string{
 	TokMinus: "-", TokStar: "*", TokSlash: "/", TokPercent: "%",
 }
 
+// assignName and unaryName spell the assignment and unary operators.
+var assignName = map[TokKind]string{
+	TokAssign: "=", TokPlusEq: "+=", TokMinusEq: "-=",
+	TokStarEq: "*=", TokSlashEq: "/=", TokPctEq: "%=",
+}
+
+var unaryName = map[TokKind]string{
+	TokMinus: "-", TokBang: "!", TokTilde: "~", TokStar: "*", TokAmp: "&",
+}
+
 func (p *Parser) parseExpr() (Expr, error) { return p.parseBin(1) }
 
 func (p *Parser) parseBin(minPrec int) (Expr, error) {
@@ -615,9 +622,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case TokMinus, TokBang, TokTilde, TokStar, TokAmp:
-		op := map[TokKind]string{
-			TokMinus: "-", TokBang: "!", TokTilde: "~", TokStar: "*", TokAmp: "&",
-		}[p.tok.Kind]
+		op := unaryName[p.tok.Kind]
 		if err := p.next(); err != nil {
 			return nil, err
 		}

@@ -102,16 +102,21 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Check(file)
-	if err != nil {
+	if _, err := Check(file); err != nil {
 		t.Fatal(err)
 	}
-	decls := map[*DeclStmt]bool{}
-	for d := range checked.Decls {
-		decls[d] = true
+	syms := map[*Symbol]bool{}
+	for _, st := range file.Funcs[0].Body.Stmts {
+		inner := st.(*BlockStmt).Stmts
+		decl := inner[0].(*DeclStmt)
+		use := inner[1].(*ExprStmt).X.(*CallExpr).Args[0].(*VarExpr)
+		if decl.Sym == nil || use.Sym != decl.Sym {
+			t.Fatalf("use of v resolves to %p, want its scope's declaration %p", use.Sym, decl.Sym)
+		}
+		syms[decl.Sym] = true
 	}
-	if len(decls) != 2 {
-		t.Fatalf("decl symbols = %d, want 2", len(decls))
+	if len(syms) != 2 {
+		t.Fatalf("decl symbols = %d, want 2", len(syms))
 	}
 }
 
